@@ -155,7 +155,11 @@ class Aspect(abc.ABC):
 
     def evaluate_precondition(self, joinpoint: JoinPoint) -> AspectResult:
         """Call :meth:`precondition` and normalize its result."""
-        return _coerce_result(self.precondition(joinpoint))
+        result = self.precondition(joinpoint)
+        # An AspectResult needs no coercion: skip the call per aspect.
+        if result.__class__ is AspectResult:
+            return result
+        return _coerce_result(result)
 
     def describe(self) -> str:
         """Human-readable identity used in traces."""
@@ -213,7 +217,10 @@ class FunctionAspect(Aspect):
     def precondition(self, joinpoint: JoinPoint) -> AspectResult:
         if self._precondition is None:
             return AspectResult.RESUME
-        return _coerce_result(self._precondition(joinpoint))
+        result = self._precondition(joinpoint)
+        if result.__class__ is AspectResult:
+            return result
+        return _coerce_result(result)
 
     def postaction(self, joinpoint: JoinPoint) -> None:
         if self._postaction is not None:

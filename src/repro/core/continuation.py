@@ -400,10 +400,6 @@ class ContinuationRuntime:
                     concern=joinpoint.context.get("abort_concern"),
                 )
             # ---- invoke segment (outside every moderator lock) ----
-            plan = (
-                moderator.plan_for(method_id)
-                if moderator.compile_plans else None
-            )
             joinpoint.phase = Phase.INVOCATION
             try:
                 if not joinpoint.invocation_skipped:
@@ -419,7 +415,7 @@ class ContinuationRuntime:
                 joinpoint.exception = exc
                 raise
             finally:
-                moderator.postactivation(method_id, joinpoint, plan=plan)
+                moderator.postactivation(method_id, joinpoint)
         except BaseException as exc:  # noqa: BLE001 - routed to future
             self._finish(continuation, None, exc)
             return
@@ -453,22 +449,20 @@ class ContinuationRuntime:
                 raise
         if moderator.compile_plans:
             plan = moderator.plan_for(method_id)
-            if plan.never_blocks:
-                outcome = moderator._run_round(method_id, joinpoint, plan)
-                if outcome is not AspectResult.BLOCK:
-                    if outcome is AspectResult.RESUME:
-                        moderator.stats.bump("fastpaths")
-                    return outcome
+            never_blocks = plan.never_blocks
         else:
-            pairs = moderator.ordering(
-                method_id, moderator.bank.aspects_for(method_id)
+            plan = None
+            never_blocks = all(
+                aspect.never_blocks for _, aspect in moderator.ordering(
+                    method_id, moderator.bank.aspects_for(method_id)
+                )
             )
-            if all(aspect.never_blocks for _, aspect in pairs):
-                outcome = moderator._run_round(method_id, joinpoint)
-                if outcome is not AspectResult.BLOCK:
-                    if outcome is AspectResult.RESUME:
-                        moderator.stats.bump("fastpaths")
-                    return outcome
+        if never_blocks:
+            outcome = moderator._run_round(method_id, joinpoint, plan)
+            if outcome is not AspectResult.BLOCK:
+                if outcome is AspectResult.RESUME:
+                    moderator.stats.bump("fastpaths")
+                return outcome
         # Register in the moderator-wide waiter count for the whole
         # blocking attempt — fast-path completions consult it to elide
         # their wake, and a parked continuation must keep it nonzero.
@@ -494,20 +488,27 @@ class ContinuationRuntime:
         joinpoint = continuation.joinpoint
         method_id = continuation.method_id
         compiled = moderator.compile_plans
+        plan = None
         while True:
+            parked = False
             if compiled:
                 plan = moderator.plan_for(method_id)
-                queue = plan.queue
+                lock = plan.domain.lock
             else:
-                plan = None
-                queue = moderator._queue_for(method_id)
-            with queue:
-                if moderator._queue_for(method_id) is not queue:
-                    continue  # method changed domains; re-acquire
+                domain = moderator._domain_for(method_id)
+                lock = domain.lock
+            with lock:
                 while True:
                     epoch = moderator._wake_epoch
+                    # The threaded loop's per-round revalidation, which
+                    # also catches a domain move (a key component).
                     if compiled:
-                        plan = moderator.plan_for(method_id)
+                        if plan.key != moderator._composition_key():
+                            plan = moderator.plan_for(method_id)
+                            if plan.domain.lock is not lock:
+                                break  # method changed domains
+                    elif moderator._domain_for(method_id) is not domain:
+                        break  # method changed domains; re-acquire
                     outcome = moderator._run_round(method_id, joinpoint,
                                                    plan)
                     if outcome is not AspectResult.BLOCK:
@@ -544,7 +545,10 @@ class ContinuationRuntime:
                         # notification already sent.
                         continue
                     moderator.stats.bump("waits")
+                    parked = True
                     break
+            if not parked:
+                continue  # method changed domains; re-acquire
             # Parked (domain lock released). Deadline bookkeeping mirrors
             # the threaded ``remaining <= 0 or not queue.wait(remaining)``:
             # an already-expired budget re-claims the continuation for

@@ -25,6 +25,9 @@ from .results import Phase
 
 _joinpoint_ids = itertools.count(1)
 
+#: context key set by :meth:`JoinPoint.skip_invocation`
+SKIP_INVOCATION_KEY = "__skip_invocation__"
+
 class _Unset:
     """Sentinel distinguishing "no result yet" from "returned None".
 
@@ -45,7 +48,7 @@ class _Unset:
 _UNSET = _Unset()
 
 
-@dataclass
+@dataclass(init=False)
 class JoinPoint:
     """A single activation of a participating method.
 
@@ -70,14 +73,44 @@ class JoinPoint:
     phase: Phase = Phase.PRE_ACTIVATION
     caller: Optional[Any] = None
     context: Dict[str, Any] = field(default_factory=dict)
-    activation_id: int = field(default_factory=lambda: next(_joinpoint_ids))
-    thread_name: str = field(
-        default_factory=lambda: threading.current_thread().name
-    )
-    created_at: float = field(default_factory=time.monotonic)
+    activation_id: int = 0
+    thread_name: str = ""
+    created_at: float = 0.0
 
     _result: Any = field(default=_UNSET, repr=False)
     _exception: Optional[BaseException] = field(default=None, repr=False)
+
+    def __init__(self, method_id: str, component: Any = None,
+                 args: Tuple[Any, ...] = (),
+                 kwargs: Optional[Mapping[str, Any]] = None,
+                 phase: Phase = Phase.PRE_ACTIVATION,
+                 caller: Optional[Any] = None,
+                 context: Optional[Dict[str, Any]] = None,
+                 activation_id: Optional[int] = None,
+                 thread_name: Optional[str] = None,
+                 created_at: Optional[float] = None) -> None:
+        # Written out rather than generated: one join point is built per
+        # activation, and the generated form runs a Python-level default
+        # factory per defaulted field.
+        self.method_id = method_id
+        self.component = component
+        self.args = args
+        self.kwargs = {} if kwargs is None else kwargs
+        self.phase = phase
+        self.caller = caller
+        self.context = {} if context is None else context
+        self.activation_id = (
+            next(_joinpoint_ids) if activation_id is None else activation_id
+        )
+        self.thread_name = (
+            threading.current_thread().name
+            if thread_name is None else thread_name
+        )
+        self.created_at = (
+            time.monotonic() if created_at is None else created_at
+        )
+        self._result = _UNSET
+        self._exception = None
 
     @property
     def has_result(self) -> bool:
@@ -120,13 +153,13 @@ class JoinPoint:
         post-activation still runs normally. Only honoured when set
         during pre-activation.
         """
-        self.context["__skip_invocation__"] = True
+        self.context[SKIP_INVOCATION_KEY] = True
         self._result = result
 
     @property
     def invocation_skipped(self) -> bool:
         """Whether an aspect asked for the method body to be skipped."""
-        return bool(self.context.get("__skip_invocation__"))
+        return bool(self.context.get(SKIP_INVOCATION_KEY))
 
     def describe(self) -> str:
         """Short human-readable description used by tracing and errors."""

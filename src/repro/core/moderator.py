@@ -71,7 +71,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.concurrency.primitives import LockDomain
 from repro.obs.metrics import MetricsRegistry
@@ -88,7 +88,7 @@ from .errors import (
 )
 from .events import EventBus
 from .health import FAIL_CLOSED, FAIL_OPEN, HealthTracker
-from .joinpoint import JoinPoint
+from .joinpoint import SKIP_INVOCATION_KEY, JoinPoint
 from .ordering import OrderingPolicy, registration_order
 from .plan import ActivationPlan, PlanHandle, compile_plan
 from .results import AspectResult, Phase
@@ -131,7 +131,7 @@ class ModerationStats:
     stripe locks at once, so a multi-counter bump is never observed torn.
     """
 
-    __slots__ = ("registry", "_block", "compile_seconds")
+    __slots__ = ("registry", "_block", "compile_seconds", "keys", "local")
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = (
@@ -140,6 +140,11 @@ class ModerationStats:
         self._block = self.registry.counter_block(
             STAT_NAMES, prefix="repro_moderation_"
         )
+        #: the activation driver's bump: ``stats.local.cells[stats.keys[
+        #: name]] += 1`` writes this thread's stripe directly, with no
+        #: call instead of three frames per counter
+        self.keys = self._block.keys
+        self.local = self._block.local
         #: plan-compilation latency histogram (seconds). Recorded on the
         #: registry, *not* the event bus: compiled and interpreted runs
         #: must keep byte-identical event streams (the differential
@@ -366,7 +371,7 @@ class AspectModerator:
         stale component only delays revalidation by one call.
         """
         return (
-            self.bank.revision,
+            self.bank._revision,  # the property's read, minus a frame
             self._domain_epoch,
             self.health.epoch,
             self._injector_epoch,
@@ -434,9 +439,8 @@ class AspectModerator:
     def plan_handle(self, method_id: str) -> PlanHandle:
         """The stable :class:`PlanHandle` for ``method_id``.
 
-        Proxies and woven wrappers cache this handle instead of a bare
-        wrapper: the handle survives every recompile, so a cached
-        wrapper picks up a swapped aspect on its very next call.
+        The handle survives every recompile, so code holding it picks
+        up a swapped aspect on its very next call.
         """
         handle = self._plan_handles.get(method_id)
         if handle is None:
@@ -635,7 +639,7 @@ class AspectModerator:
         built against.
         """
         return (
-            self.bank.revision + self._domain_epoch + self.health.epoch
+            self.bank._revision + self._domain_epoch + self.health.epoch
             + self._injector_epoch + self._ordering_epoch
             + self._contract_epoch + self._profile_epoch
         )
@@ -686,11 +690,10 @@ class AspectModerator:
         deadline admits the activation instead of being dropped.
 
         ``plan`` lets callers that already hold a validated
-        :class:`~repro.core.plan.ActivationPlan` (proxies and woven
-        wrappers, via their :class:`~repro.core.plan.PlanHandle`) skip
-        the cache probe; without it — and with :attr:`compile_plans`
-        on — the current plan is fetched here. With ``compile_plans``
-        off the paper's per-call interpreter runs instead.
+        :class:`~repro.core.plan.ActivationPlan` skip the cache probe;
+        without it — and with :attr:`compile_plans` on — the current
+        plan is fetched here. With ``compile_plans`` off the paper's
+        per-call interpreter runs instead.
 
         ``deadline`` is an optional end-to-end budget: an absolute
         monotonic time, or any object exposing ``expires_at`` (e.g.
@@ -698,24 +701,22 @@ class AspectModerator:
         than the timeout-derived bound, BLOCK parks stop at the budget
         instead — a remote caller that has already given up never keeps
         an activation parked here.
+
+        This method is the pre side of the activation driver: one frame
+        runs the entry bookkeeping, the lock-free round of a
+        ``never_blocks`` chain, and Figure 11's blocking loop (waiter
+        registration, the domain lock, per-round revalidation, park and
+        wake). Each round is one :meth:`_run_round` call.
         """
-        joinpoint = joinpoint or JoinPoint(method_id=method_id)
+        if joinpoint is None:
+            joinpoint = JoinPoint(method_id=method_id)
         joinpoint.phase = Phase.PRE_ACTIVATION
-        effective_timeout = (
-            timeout if timeout is not None else self.default_timeout
-        )
-        expires_at = (
-            time.monotonic() + effective_timeout
-            if effective_timeout is not None else None
-        )
-        budget = getattr(deadline, "expires_at", deadline)
-        if budget is not None and (expires_at is None or budget < expires_at):
-            expires_at = budget
-            effective_timeout = max(0.0, budget - time.monotonic())
-        deadline = expires_at
-        self.events.emit("preactivation", method_id,
-                         activation_id=joinpoint.activation_id)
-        self.stats.bump("preactivations")
+        events = self.events
+        if events._listeners:
+            events.emit("preactivation", method_id,
+                        activation_id=joinpoint.activation_id)
+        stats = self.stats
+        stats.local.cells[stats.keys["preactivations"]] += 1
 
         if self._contracts is not None:
             # Entry check point: require clauses + entry invariants run
@@ -729,91 +730,84 @@ class AspectModerator:
                 self._note_violation(violation, joinpoint)
                 raise
 
-        if self.compile_plans:
+        compiled = self.compile_plans
+        if compiled:
             if plan is None:
                 plan = self.plan_for(method_id)
-            if plan.never_blocks:
-                # Lock-free fast path, compiled: the whole chain promised
-                # never to BLOCK at compile time, and the plan is only
-                # valid while that composition stands.
-                outcome = self._run_round(method_id, joinpoint, plan)
-                if outcome is not AspectResult.BLOCK:
-                    if outcome is AspectResult.RESUME:
-                        self.stats.bump("fastpaths")
-                    return outcome
-                # An aspect broke its never_blocks promise; fall through
-                # to the locked path and moderate properly.
-            return self._moderated_preactivation(
-                method_id, joinpoint, deadline, effective_timeout
+            never_blocks = plan.never_blocks
+        else:
+            never_blocks = all(
+                aspect.never_blocks for _, aspect in self.ordering(
+                    method_id, self.bank.aspects_for(method_id)
+                )
             )
-
-        pairs = self.ordering(method_id, self.bank.aspects_for(method_id))
-        if all(aspect.never_blocks for _, aspect in pairs):
-            # Lock-free fast path: the chain has promised never to
-            # BLOCK, so no wait queue — hence no lock — is needed.
-            outcome = self._run_round(method_id, joinpoint)
+        if never_blocks:
+            # Lock-free fast path: the chain has promised never to BLOCK,
+            # so no wait queue — hence no lock — is needed.
+            outcome = self._run_round(method_id, joinpoint, plan)
             if outcome is not AspectResult.BLOCK:
                 if outcome is AspectResult.RESUME:
-                    self.stats.bump("fastpaths")
+                    stats.local.cells[stats.keys["fastpaths"]] += 1
                 return outcome
             # An aspect broke its never_blocks promise; fall through to
             # the locked path and moderate properly.
-        return self._moderated_preactivation(
-            method_id, joinpoint, deadline, effective_timeout
+
+        effective_timeout = (
+            timeout if timeout is not None else self.default_timeout
         )
-
-    def _moderated_preactivation(
-        self,
-        method_id: str,
-        joinpoint: JoinPoint,
-        deadline: Optional[float],
-        effective_timeout: Optional[float],
-    ) -> AspectResult:
-        """Figure 11's blocking evaluation loop, under the method's domain.
-
-        Registers in the moderator-wide waiter count for the whole
-        attempt (before the first evaluation round), which is what lets
-        fast-path completions skip the wake when nothing can be parked:
-        any waiter that could miss their state change is registered
-        before it evaluates, so the completion either happens before the
-        evaluation (and is seen) or after registration (and triggers the
-        wake).
-        """
-        with self._waiter_guard:
+        expires_at = (
+            time.monotonic() + effective_timeout
+            if effective_timeout is not None else None
+        )
+        budget = getattr(deadline, "expires_at", deadline)
+        if budget is not None and (expires_at is None or budget < expires_at):
+            expires_at = budget
+            effective_timeout = max(0.0, budget - time.monotonic())
+        # Register in the moderator-wide waiter count for the whole
+        # attempt, before the first round: fast-path completions skip
+        # their wake only when this is zero, and a waiter that could miss
+        # their state change is registered before it evaluates — so the
+        # completion either precedes the evaluation (and is seen) or
+        # follows the registration (and wakes).
+        guard = self._waiter_guard
+        with guard:
             self._waiters += 1
         try:
-            compiled = self.compile_plans
             timed_out = False
             while True:
                 if compiled:
-                    plan: Optional[ActivationPlan] = \
-                        self.plan_for(method_id)
-                    queue = plan.queue
+                    lock = plan.domain.lock
                 else:
-                    plan = None
-                    queue = self._queue_for(method_id)
-                with queue:
-                    # Same object a compiled plan resolves (LockDomain
-                    # caches conditions per key), so one check covers
-                    # both modes.
-                    if self._queue_for(method_id) is not queue:
-                        continue  # method changed domains; re-acquire
+                    domain = self._domain_for(method_id)
+                    lock = domain.lock
+                # The domain's RLock directly, not ``with Condition:``;
+                # the queue is built on this lock, so waiting on it
+                # releases this hold.
+                with lock:
                     while True:
                         # Bare read is safe: a stale value only makes the
                         # pre-park re-check conservatively re-evaluate.
                         epoch = self._wake_epoch
                         if compiled:
                             # Revalidate per round, exactly as the
-                            # interpreter re-reads the bank per round: a
-                            # dict probe plus an int-tuple compare when
-                            # nothing changed.
-                            plan = self.plan_for(method_id)
+                            # interpreter re-reads the bank per round.
+                            # The domain epoch is a key component, so a
+                            # domain move is caught here as well.
+                            if plan.key != self._composition_key():
+                                plan = self.plan_for(method_id)
+                                if plan.domain.lock is not lock:
+                                    break  # method changed domains
+                            queue = plan._queue or plan.queue
+                        elif self._domain_for(method_id) is not domain:
+                            break  # method changed domains; re-acquire
+                        else:
+                            queue = domain.condition(method_id)
                         outcome = self._run_round(method_id, joinpoint,
                                                   plan)
                         if outcome is not AspectResult.BLOCK:
                             return outcome
                         if timed_out:
-                            self.events.emit(
+                            events.emit(
                                 "timeout", method_id,
                                 detail=f"{effective_timeout}s",
                                 activation_id=joinpoint.activation_id,
@@ -821,7 +815,7 @@ class AspectModerator:
                             raise ActivationTimeout(
                                 method_id, effective_timeout
                             )
-                        with self._waiter_guard:
+                        with guard:
                             raced = self._wake_epoch != epoch
                             if not raced:
                                 self._parked += 1
@@ -835,12 +829,12 @@ class AspectModerator:
                             # the post-postaction state instead of
                             # parking on a notification already sent.
                             continue
-                        self.stats.bump("waits")
+                        stats.bump("waits")
                         try:
-                            if deadline is None:
+                            if expires_at is None:
                                 queue.wait()
                             else:
-                                remaining = deadline - time.monotonic()
+                                remaining = expires_at - time.monotonic()
                                 if remaining <= 0 or not queue.wait(
                                     remaining
                                 ):
@@ -851,13 +845,13 @@ class AspectModerator:
                                     timed_out = True
                                     continue
                         finally:
-                            with self._waiter_guard:
+                            with guard:
                                 self._parked -= 1
                                 parked_info = self._parked_info.pop(
                                     joinpoint.activation_id, None
                                 )
-                        self.stats.bump("wakeups")
-                        self.events.emit(
+                        stats.bump("wakeups")
+                        events.emit(
                             "unblocked", method_id,
                             activation_id=joinpoint.activation_id,
                             # park duration, for blocked-span accounting
@@ -866,10 +860,8 @@ class AspectModerator:
                                 if parked_info is not None else 0.0
                             ),
                         )
-                        if self._queue_for(method_id) is not queue:
-                            break  # re-park under the new domain
         finally:
-            with self._waiter_guard:
+            with guard:
                 self._waiters -= 1
 
     def _run_round(self, method_id: str, joinpoint: JoinPoint,
@@ -877,36 +869,82 @@ class AspectModerator:
         """One evaluation round, including compensation and bookkeeping.
 
         RESUME records the chain on the join point; ABORT and BLOCK
-        compensate the RESUMEd prefix in reverse order first (aspects
-        distinguish the transient ``block`` round from a final ``abort``
-        via the compensation-reason context key). Compensation faults do
-        not stop the unwind: every remaining aspect still compensates,
-        and the collected faults raise afterwards (aggregated as
-        :class:`CompositionErrors` when there are several).
+        compensate the RESUMEd prefix in reverse order first (see
+        :meth:`_settle`).
 
-        With a ``plan``, the round runs the compiled executor
-        (:meth:`_evaluate_plan`); without one it interprets the bank
-        directly (:meth:`_evaluate_chain`). Everything downstream —
-        stash, stats, events, compensation — is shared, which is half of
-        what keeps the two paths observably identical.
+        A plan with ``fast_cells`` (no quarantined cell, no armed
+        injector, no contract) runs the driver's walk right here: a bare
+        loop over pre-bound callables. A full RESUME stashes
+        ``plan.pairs`` itself — zero allocations, and the identity token
+        :meth:`postactivation` recognizes to take the compiled unwind —
+        and a partial prefix is a slice of it. Any other plan runs the
+        generic executor (:meth:`_evaluate_plan`), and no plan at all
+        the interpreter (:meth:`_evaluate_chain`); both mirror the walk
+        decision for decision and share its stash, stats, events and
+        compensation, which is what keeps the paths observably
+        identical. The continuation runtime runs its rounds through
+        this method too.
         """
-        if plan is not None:
-            outcome, resumed, failed_concern = self._evaluate_plan(
-                plan, joinpoint
-            )
+        if plan is not None and plan.fast_cells:
+            events = self.events
+            # Timing gates on listeners, exactly like event construction:
+            # with nobody subscribed the walk makes no clock reads.
+            listening = events._listeners
+            index = 0
+            for cell in plan.cells:
+                began = time.monotonic() if listening else 0.0
+                try:
+                    result = cell.evaluate(joinpoint)
+                except Exception as exc:  # noqa: BLE001 - contract violation
+                    self._raise_precondition_fault(
+                        method_id, cell.concern, exc,
+                        list(plan.pairs[:index]), joinpoint,
+                    )
+                if listening:
+                    events.emit(
+                        "precondition", method_id, cell.concern,
+                        detail=result.value,
+                        activation_id=joinpoint.activation_id,
+                        duration=time.monotonic() - began,
+                    )
+                if result is not AspectResult.RESUME:
+                    return self._settle(method_id, joinpoint, result,
+                                        list(plan.pairs[:index]),
+                                        cell.concern)
+                index += 1
+            resumed = plan.pairs
         else:
-            outcome, resumed, failed_concern = self._evaluate_chain(
-                method_id, joinpoint
-            )
-        if outcome is AspectResult.RESUME:
-            joinpoint.context[CHAIN_KEY] = resumed
-            self.stats.bump("resumes")
-            return outcome
+            if plan is not None:
+                outcome, resumed, failed_concern = self._evaluate_plan(
+                    plan, joinpoint
+                )
+            else:
+                outcome, resumed, failed_concern = self._evaluate_chain(
+                    method_id, joinpoint
+                )
+            if outcome is not AspectResult.RESUME:
+                return self._settle(method_id, joinpoint, outcome, resumed,
+                                    failed_concern)
+        joinpoint.context[CHAIN_KEY] = resumed
+        stats = self.stats
+        stats.local.cells[stats.keys["resumes"]] += 1
+        return AspectResult.RESUME
 
+    def _settle(self, method_id: str, joinpoint: JoinPoint,
+                outcome: AspectResult, resumed: List[Tuple[str, Aspect]],
+                failed_concern: Optional[str]) -> AspectResult:
+        """Close a round that did not RESUME: compensate, count, report.
+
+        Aspects distinguish the transient ``block`` round from a final
+        ``abort`` via the compensation-reason context key. Compensation
+        faults do not stop the unwind: every remaining aspect still
+        compensates, and the collected faults raise afterwards
+        (aggregated as :class:`CompositionErrors` when there are
+        several).
+        """
         joinpoint.context["__compensation__"] = outcome.value
         faults = self._compensate(resumed, joinpoint)
         joinpoint.context.pop("__compensation__", None)
-
         if outcome is AspectResult.ABORT:
             self.stats.bump("aborts")
             joinpoint.phase = Phase.ABORTED
@@ -915,32 +953,46 @@ class AspectModerator:
                 "abort", method_id, failed_concern or "",
                 activation_id=joinpoint.activation_id,
             )
-            self._raise_faults(faults)
-            return outcome
-
-        self.stats.bump("blocks")
-        self.events.emit(
-            "blocked", method_id, failed_concern or "",
-            activation_id=joinpoint.activation_id,
-        )
+        else:
+            self.stats.bump("blocks")
+            self.events.emit(
+                "blocked", method_id, failed_concern or "",
+                activation_id=joinpoint.activation_id,
+            )
         self._raise_faults(faults)
         return outcome
+
+    def _raise_precondition_fault(self, method_id: str, concern: str,
+                                  exc: Exception,
+                                  resumed: List[Tuple[str, Aspect]],
+                                  joinpoint: JoinPoint) -> None:
+        """A *raising* precondition: account it, unwind, and raise.
+
+        A raise is a contract violation, not a vote: the RESUMEd prefix
+        is compensated (so no reservation leaks) and the error
+        propagates wrapped in :class:`AspectFault`, together with any
+        compensation faults.
+        """
+        fault = AspectFault(method_id, concern, "precondition", exc)
+        self._note_fault(method_id, concern, "precondition", exc, joinpoint)
+        joinpoint.context["__compensation__"] = "fault"
+        comp_faults = self._compensate(resumed, joinpoint)
+        joinpoint.context.pop("__compensation__", None)
+        self._raise_faults([fault, *comp_faults])
 
     def _evaluate_chain(
         self, method_id: str, joinpoint: JoinPoint
     ) -> Tuple[AspectResult, List[Tuple[str, Aspect]], Optional[str]]:
-        """Run one round of precondition evaluation.
+        """Run one round of precondition evaluation (the interpreter).
 
         Returns ``(outcome, resumed_pairs, failed_concern)`` where
         ``resumed_pairs`` are the aspects that voted RESUME before the
         chain stopped (all of them when outcome is RESUME).
 
-        A *raising* precondition is a contract violation, not a vote:
-        the RESUMEd prefix is compensated (so no reservation leaks) and
-        the error propagates wrapped in :class:`AspectFault`. Quarantined
-        cells are handled before their aspect runs — ``fail_open`` skips
-        the aspect, ``fail_closed`` turns the round into an ABORT
-        attributed to the degraded concern.
+        A raising precondition goes to :meth:`_raise_precondition_fault`.
+        Quarantined cells are handled before their aspect runs —
+        ``fail_open`` skips the aspect, ``fail_closed`` turns the round
+        into an ABORT attributed to the degraded concern.
         """
         pairs = self.ordering(method_id, self.bank.aspects_for(method_id))
         resumed: List[Tuple[str, Aspect]] = []
@@ -978,13 +1030,8 @@ class AspectModerator:
                     continue  # injected no-op crash: aspect never ran
                 result = aspect.evaluate_precondition(joinpoint)
             except Exception as exc:  # noqa: BLE001 - contract violation
-                fault = AspectFault(method_id, concern, "precondition", exc)
-                self._note_fault(method_id, concern, "precondition", exc,
-                                 joinpoint)
-                joinpoint.context["__compensation__"] = "fault"
-                comp_faults = self._compensate(resumed, joinpoint)
-                joinpoint.context.pop("__compensation__", None)
-                self._raise_faults([fault, *comp_faults])
+                self._raise_precondition_fault(method_id, concern, exc,
+                                               resumed, joinpoint)
             self.events.emit(
                 "precondition", method_id, concern, detail=result.value,
                 activation_id=joinpoint.activation_id,
@@ -1001,60 +1048,20 @@ class AspectModerator:
     def _evaluate_plan(
         self, plan: ActivationPlan, joinpoint: JoinPoint
     ) -> Tuple[AspectResult, List[Tuple[str, Aspect]], Optional[str]]:
-        """Compiled counterpart of :meth:`_evaluate_chain`.
+        """Generic compiled executor: degraded cells, injectors, contracts.
 
-        Two executors live here. The *fast* one runs when
-        ``plan.fast_cells`` holds (no quarantined cell, no injector
-        armed): each round is a bare walk over pre-bound callables, and
-        a full RESUME returns ``plan.pairs`` itself — zero allocations,
-        and an identity token post-activation recognizes to take its own
-        compiled unwind. A partial prefix is a slice of ``plan.pairs``,
-        not a rebuilt list of freshly looked-up aspects.
-
-        The *generic* one handles degraded cells and armed injectors by
+        Runs the plans :meth:`_run_round` does not walk itself, by
         mirroring the interpreter decision-for-decision — live
         quarantine reads, per-site injector visits (pre-bound as
         ``cell.fire_pre``, still visit-counted every call so chaos-test
         occurrence coordinates are untouched), skipped aspects excluded
-        from the RESUMEd chain. The differential suite drives both
-        executors against the interpreter across the whole fault space.
+        from the RESUMEd chain. The differential suite drives it against
+        the interpreter across the whole fault space.
         """
         method_id = plan.method_id
         emit = self.events.emit
         activation_id = joinpoint.activation_id
-        # Timing gates on listeners, exactly like event construction:
-        # with nobody subscribed the fast executor below stays a bare
-        # walk over pre-bound callables — no clock reads, no floats.
         timed = self.events.has_listeners
-        if plan.fast_cells:
-            index = 0
-            for cell in plan.cells:
-                began = time.monotonic() if timed else 0.0
-                try:
-                    result = cell.evaluate(joinpoint)
-                except Exception as exc:  # noqa: BLE001 - contract violation
-                    fault = AspectFault(
-                        method_id, cell.concern, "precondition", exc
-                    )
-                    self._note_fault(method_id, cell.concern,
-                                     "precondition", exc, joinpoint)
-                    joinpoint.context["__compensation__"] = "fault"
-                    comp_faults = self._compensate(
-                        list(plan.pairs[:index]), joinpoint
-                    )
-                    joinpoint.context.pop("__compensation__", None)
-                    self._raise_faults([fault, *comp_faults])
-                emit(
-                    "precondition", method_id, cell.concern,
-                    detail=result.value, activation_id=activation_id,
-                    duration=time.monotonic() - began if timed else 0.0,
-                )
-                if result is AspectResult.RESUME:
-                    index += 1
-                    continue
-                return result, list(plan.pairs[:index]), cell.concern
-            return AspectResult.RESUME, plan.pairs, None
-
         resumed: List[Tuple[str, Aspect]] = []
         quarantine_active = self.health.active
         runner = (
@@ -1089,13 +1096,8 @@ class AspectModerator:
                     continue  # injected no-op crash: aspect never ran
                 result = cell.evaluate(joinpoint)
             except Exception as exc:  # noqa: BLE001 - contract violation
-                fault = AspectFault(method_id, concern, "precondition", exc)
-                self._note_fault(method_id, concern, "precondition", exc,
-                                 joinpoint)
-                joinpoint.context["__compensation__"] = "fault"
-                comp_faults = self._compensate(resumed, joinpoint)
-                joinpoint.context.pop("__compensation__", None)
-                self._raise_faults([fault, *comp_faults])
+                self._raise_precondition_fault(method_id, concern, exc,
+                                               resumed, joinpoint)
             emit(
                 "precondition", method_id, concern, detail=result.value,
                 activation_id=activation_id,
@@ -1223,14 +1225,29 @@ class AspectModerator:
         wedge behind a faulty aspect), and only then do the collected
         faults propagate (:class:`AspectFault`, aggregated as
         :class:`CompositionErrors` when several raised).
-        """
-        joinpoint = joinpoint or JoinPoint(method_id=method_id)
-        joinpoint.phase = Phase.POST_ACTIVATION
-        self.events.emit("postactivation", method_id,
-                         activation_id=joinpoint.activation_id)
 
+        This method is the post side of the activation driver. A chain
+        stashed by a ``fast_cells`` round of a still-current plan
+        unwinds through the plan's pre-bound cells right here; any other
+        chain (stale stash, degraded cells, armed injector, contract,
+        interpreter) unwinds through :meth:`_run_postactions`, which
+        reads injector and contract state live. The wake's slow path
+        (:meth:`_wake`) runs only when an activation is parked or a
+        continuation runtime is attached.
+        """
+        if joinpoint is None:
+            joinpoint = JoinPoint(method_id=method_id)
+        joinpoint.phase = Phase.POST_ACTIVATION
+        events = self.events
+        listening = events._listeners
+        activation_id = joinpoint.activation_id
+        if listening:
+            events.emit("postactivation", method_id,
+                        activation_id=activation_id)
+
+        context = joinpoint.context
         runner = (
-            joinpoint.context.get(CONTRACT_KEY)
+            context.get(CONTRACT_KEY)
             if self._contracts is not None else None
         )
         if runner is not None:
@@ -1241,7 +1258,8 @@ class AspectModerator:
             # :meth:`_run_postactions`).
             runner.post_body(joinpoint)
 
-        chain = joinpoint.context.pop(CHAIN_KEY, None)
+        chain = context.pop(CHAIN_KEY, None)
+        fast = False
         if self.compile_plans:
             if plan is None or plan.key != self._composition_key():
                 # No plan handed in, or the composition changed while the
@@ -1256,138 +1274,83 @@ class AspectModerator:
                 # says, which is exactly what re-reading the bank would
                 # yield (the plan was just validated against it).
                 chain = plan.pairs
-            if chain is plan.pairs and plan.fast_cells:
-                # The pre-activation fast executor stashed the plan's own
-                # pairs tuple — a full-chain RESUME under a composition
-                # that has not changed since (identity implies the plan,
-                # hence the key, is the same one). Unwind through the
-                # pre-bound cells; no injector is armed, no cell is
-                # degraded, or fast_cells would be off.
-                self._compiled_postactivation(plan, joinpoint)
-                return
-            # Partial chain (stale stash, degraded cells, armed
-            # injector): interpret the recorded chain exactly as the
-            # reference path below does.
+            # Identity with the plan's own pairs tuple means a full-chain
+            # RESUME under this very plan (hence this very key).
+            fast = chain is plan.pairs and plan.fast_cells
         elif chain is None:
             # Post-activation without a recorded chain: fall back to the
             # current bank contents (the paper's behaviour, which always
             # re-reads the array).
             chain = self.ordering(method_id, self.bank.aspects_for(method_id))
-        chain = list(chain)
+        if fast:
+            never_blocks = plan.never_blocks
+            lock = None if never_blocks else plan.domain.lock
+        else:
+            chain = list(chain)
+            never_blocks = all(aspect.never_blocks for _, aspect in chain)
+            lock = None if never_blocks else self._domain_for(method_id).lock
 
-        if all(aspect.never_blocks for _, aspect in chain):
-            self.stats.bump("postactivations")
-            try:
-                faults = self._run_postactions(method_id, chain, joinpoint)
-            finally:
-                if self._waiters:
-                    # Someone is parked somewhere: wake conservatively, a
-                    # spurious wakeup only costs a re-evaluation.
-                    self._wake(method_id, joinpoint)
-                else:
-                    # Wake elided (nothing parked) — but the protocol's
-                    # notify arrow still concluded this activation, so
-                    # surface it to observers (span recorders close the
-                    # activation on it). Observer-only: no stats bump,
-                    # counters must not depend on who is subscribed, and
-                    # with no listeners emit() is a single attribute
-                    # check so the fast path stays allocation-free.
-                    self.events.emit(
-                        "notify", method_id, detail="elided",
-                        activation_id=joinpoint.activation_id,
-                    )
-            self._raise_faults(faults)
-            if runner is not None:
-                self._finish_contract(runner, joinpoint)
-            return
-
-        queue = self._queue_for(method_id)
+        stats = self.stats
+        keys = stats.keys
+        cells = stats.local.cells
+        faults: Optional[List[AspectFault]] = None
+        if lock is not None:
+            lock.acquire()
         try:
-            with queue:
-                self.stats.bump("postactivations")
+            cells[keys["postactivations"]] += 1
+            if fast:
+                for cell in reversed(plan.cells):
+                    began = time.monotonic() if listening else 0.0
+                    try:
+                        cell.postaction(joinpoint)
+                    except Exception as exc:  # noqa: BLE001 - keep unwinding
+                        self._note_fault(method_id, cell.concern,
+                                         "postaction", exc, joinpoint)
+                        faults = faults or []
+                        faults.append(AspectFault(
+                            method_id, cell.concern, "postaction", exc,
+                        ))
+                        continue
+                    if listening:
+                        events.emit(
+                            "postaction", method_id, cell.concern,
+                            activation_id=activation_id,
+                            duration=time.monotonic() - began,
+                        )
+            else:
                 faults = self._run_postactions(method_id, chain, joinpoint)
         finally:
-            # Phase two: wake target queues without holding the method's
-            # domain lock, so cross-domain notification cannot deadlock.
-            # Runs unconditionally — even if containment itself failed —
-            # so a faulty aspect can never strand a parked waiter.
-            self._wake(method_id, joinpoint)
-        self._raise_faults(faults)
+            if lock is not None:
+                lock.release()
+            # Phase two, with no domain lock held, so cross-domain
+            # notification cannot deadlock. Runs even if containment
+            # itself failed, so a faulty aspect never strands a waiter.
+            if never_blocks and not self._waiters:
+                # Wake elided (nothing parked) — but the protocol's
+                # notify arrow still concluded this activation, so
+                # surface it to observers (span recorders close the
+                # activation on it). Observer-only: counters must not
+                # depend on who is subscribed.
+                if listening:
+                    events.emit("notify", method_id, detail="elided",
+                                activation_id=activation_id)
+            else:
+                # The epoch bump and the parked-count read are one atomic
+                # step; see :meth:`_wake` for why that makes skipping the
+                # domain locks race-free when nothing is parked.
+                with self._waiter_guard:
+                    self._wake_epoch += 1
+                    parked = self._parked
+                if parked or self._runtime is not None:
+                    self._wake(method_id, parked)
+                cells[keys["notifications"]] += 1
+                if listening:
+                    events.emit("notify", method_id,
+                                activation_id=activation_id)
+        if faults:
+            self._raise_faults(faults)
         if runner is not None:
             self._finish_contract(runner, joinpoint)
-
-    def _compiled_postactivation(self, plan: ActivationPlan,
-                                 joinpoint: JoinPoint) -> None:
-        """Unwind a full-chain RESUME through its compiled plan.
-
-        Same structure as the interpreted body of :meth:`postactivation`
-        — never_blocks chains skip the lock and elide the wake when
-        nothing is parked; locked chains wake unconditionally in phase
-        two — but the unwind itself dispatches through the pre-bound
-        ``cell.postaction`` callables.
-        """
-        method_id = plan.method_id
-        if plan.never_blocks:
-            self.stats.bump("postactivations")
-            try:
-                faults = self._run_plan_postactions(plan, joinpoint)
-            finally:
-                if self._waiters:
-                    # Someone is parked somewhere: wake conservatively, a
-                    # spurious wakeup only costs a re-evaluation.
-                    self._wake(method_id, joinpoint)
-                else:
-                    # Elided wake: observer-only notify arrow, exactly
-                    # as the interpreted never_blocks unwind emits it —
-                    # the differential suite holds the two streams equal.
-                    self.events.emit(
-                        "notify", method_id, detail="elided",
-                        activation_id=joinpoint.activation_id,
-                    )
-            self._raise_faults(faults)
-            return
-
-        queue = plan.queue
-        try:
-            with queue:
-                self.stats.bump("postactivations")
-                faults = self._run_plan_postactions(plan, joinpoint)
-        finally:
-            # Phase two: wake without holding the domain lock — see
-            # :meth:`postactivation`; runs even if containment failed.
-            self._wake(method_id, joinpoint)
-        self._raise_faults(faults)
-
-    def _run_plan_postactions(self, plan: ActivationPlan,
-                              joinpoint: JoinPoint) -> List[AspectFault]:
-        """Compiled reverse unwind; only valid when ``plan.fast_cells``.
-
-        No injector sites are consulted — the plan could not have
-        ``fast_cells`` with an injector armed, and an injector installed
-        since invalidated the plan before this activation fetched it.
-        """
-        faults: List[AspectFault] = []
-        method_id = plan.method_id
-        emit = self.events.emit
-        activation_id = joinpoint.activation_id
-        timed = self.events.has_listeners
-        for cell in reversed(plan.cells):
-            began = time.monotonic() if timed else 0.0
-            try:
-                cell.postaction(joinpoint)
-            except Exception as exc:  # noqa: BLE001 - keep unwinding
-                self._note_fault(method_id, cell.concern, "postaction",
-                                 exc, joinpoint)
-                faults.append(AspectFault(
-                    method_id, cell.concern, "postaction", exc,
-                ))
-                continue
-            emit(
-                "postaction", method_id, cell.concern,
-                activation_id=activation_id,
-                duration=time.monotonic() - began if timed else 0.0,
-            )
-        return faults
 
     def _run_postactions(self, method_id: str,
                          chain: List[Tuple[str, Aspect]],
@@ -1426,8 +1389,53 @@ class AspectModerator:
         return faults
 
     # ------------------------------------------------------------------
-    # whole-activation convenience
+    # whole-activation brackets
     # ------------------------------------------------------------------
+    def guarded_call(self, method_id: str, joinpoint: JoinPoint,
+                     body: Callable[..., Any], args: Tuple[Any, ...],
+                     kwargs: Dict[str, Any],
+                     timeout: Optional[float] = None,
+                     deadline: Any = None) -> Any:
+        """Run ``body(*args, **kwargs)`` as one moderated activation.
+
+        Figure 10's guarded method — pre-activation, the method,
+        post-activation — written once for every entry point:
+        :class:`~repro.core.proxy.ComponentProxy` (attribute access and
+        :meth:`~repro.core.proxy.ComponentProxy.call`),
+        :class:`~repro.core.proxy.GuardedMethod`, woven classes and
+        :meth:`moderate_call`. ABORT raises :class:`MethodAborted`; the
+        body runs in ``Phase.INVOCATION`` unless an aspect served the
+        activation itself (:meth:`JoinPoint.skip_invocation`); a
+        raising body is recorded on the join point and post-activation
+        still runs, so aspects can compensate.
+
+        ``preactivation`` and ``postactivation`` are looked up on the
+        instance per call: they stay the two public seams, and a wrapper
+        installed on either from outside sees every activation.
+        """
+        plan = self.plan_for(method_id) if self.compile_plans else None
+        if self.preactivation(
+            method_id, joinpoint, timeout=timeout, plan=plan,
+            deadline=deadline,
+        ) is not AspectResult.RESUME:
+            raise MethodAborted(
+                method_id, concern=joinpoint.context.get("abort_concern")
+            )
+        joinpoint.phase = Phase.INVOCATION
+        try:
+            if not joinpoint.context.get(SKIP_INVOCATION_KEY):
+                events = self.events
+                if events._listeners:
+                    events.emit("invoke", method_id,
+                                activation_id=joinpoint.activation_id)
+                joinpoint.result = body(*args, **kwargs)
+        except BaseException as exc:
+            joinpoint.exception = exc
+            raise
+        finally:
+            self.postactivation(method_id, joinpoint, plan=plan)
+        return joinpoint.result
+
     @contextmanager
     def activation(
         self,
@@ -1470,12 +1478,8 @@ class AspectModerator:
             method_id=method_id, component=component,
             args=args, kwargs=kwargs, caller=caller,
         )
-        with self.activation(method_id, joinpoint, timeout=timeout):
-            if not joinpoint.invocation_skipped:
-                self.events.emit("invoke", method_id,
-                                 activation_id=joinpoint.activation_id)
-                joinpoint.result = func(*args, **kwargs)
-        return joinpoint.result
+        return self.guarded_call(method_id, joinpoint, func, args, kwargs,
+                                 timeout=timeout)
 
     # ------------------------------------------------------------------
     # lock-domain / wait-queue plumbing
@@ -1492,55 +1496,44 @@ class AspectModerator:
                 self._domains[name] = domain
             return domain
 
-    def _queue_for(self, method_id: str) -> threading.Condition:
-        """The method's wait queue inside its current lock domain."""
-        return self._domain_for(method_id).condition(method_id)
-
     def _all_domains(self) -> List[LockDomain]:
         with self._lock:
             return list(self._domains.values())
 
-    def _wake(self, method_id: str,
-              joinpoint: Optional[JoinPoint] = None) -> None:
-        """Second phase of post-activation: notify target queues.
+    def _wake(self, method_id: str, parked: int) -> None:
+        """Second phase of post-activation, slow path: notify targets.
 
+        :meth:`postactivation` bumps the wake epoch and reads the parked
+        count in one step under ``_waiter_guard``, then calls here only
+        when ``parked`` is nonzero or a continuation runtime is attached.
         Must be called while holding **no** domain lock; each target
         condition is notified under its own domain's lock, which orders
         the notification after any in-flight park on that queue.
 
-        When nothing is parked anywhere the lock acquisitions are
-        skipped entirely — otherwise every completion on one stripe
-        would contend every *other* stripe's lock (held for the full
-        length of a precondition round) just to notify an empty queue,
-        re-coupling the domains the striping exists to separate. The
-        elision is race-free via the wake epoch: the epoch bump and the
-        parked-count read happen atomically here, and a blocker
-        re-checks the epoch atomically before parking — so a completion
-        either sees the waiter parked (and notifies, ordered by the
-        waiter's domain lock) or forces it to re-evaluate against the
-        post-postaction state.
+        When nothing is parked anywhere the domain locks are never
+        touched — otherwise every completion on one stripe would contend
+        every *other* stripe's lock (held for the full length of a
+        precondition round) just to notify an empty queue, re-coupling
+        the domains the striping exists to separate. The elision is
+        race-free via the wake epoch: a blocker re-checks the epoch
+        atomically before parking, so a completion either sees the
+        waiter parked (and notifies, ordered by the waiter's domain
+        lock) or forces it to re-evaluate against the post-postaction
+        state.
         """
-        with self._waiter_guard:
-            self._wake_epoch += 1
-            parked = self._parked
         runtime = self._runtime
         targets: Optional[set] = None
-        if self.notify_scope == "linked" and (parked or runtime is not None):
+        if self.notify_scope == "linked":
             targets = self._linked_methods(method_id)
         if runtime is not None:
             # Continuation-parked activations take the same wake, under
             # the same scope policy. Ordered against continuation parks
-            # by the epoch bump above (a continuation re-checks the
-            # epoch before parking, exactly like a threaded blocker).
+            # by the epoch bump (a continuation re-checks the epoch
+            # before parking, exactly like a threaded blocker).
             runtime.wake(targets)
         if not parked:
-            self.stats.bump("notifications")
-            self.events.emit(
-                "notify", method_id,
-                activation_id=joinpoint.activation_id if joinpoint else 0,
-            )
             return
-        if self.notify_scope == "linked":
+        if targets is not None:
             own_domain = self._domain_for(method_id)
             for domain in self._all_domains():
                 if domain is own_domain:
@@ -1554,11 +1547,6 @@ class AspectModerator:
         else:
             for domain in self._all_domains():
                 domain.notify_all()
-        self.stats.bump("notifications")
-        self.events.emit(
-            "notify", method_id,
-            activation_id=joinpoint.activation_id if joinpoint else 0,
-        )
 
     def _linked_methods(self, method_id: str) -> set:
         """Methods sharing at least one aspect instance with ``method_id``.

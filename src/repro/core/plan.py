@@ -366,12 +366,15 @@ class ActivationPlan:
 class PlanHandle:
     """Stable per-method handle onto the moderator's plan cache.
 
-    Proxies and woven wrappers hold a handle instead of a bare wrapper
-    closure: :meth:`current` revalidates the cached plan against the
-    moderator's composite revision key (a few integer compares) and
-    recompiles through the moderator only when some revision component
-    moved. Handles are shared — one per (moderator, method) — so every
-    wrapper of a method converges on the same compiled plan.
+    Code that brackets one method across many activations by hand may
+    hold a handle instead of a plan: :meth:`current` revalidates the
+    cached plan against the moderator's composite revision key (a few
+    integer compares) and recompiles through the moderator only when
+    some revision component moved. Handles are shared — one per
+    (moderator, method) — so every holder converges on the same
+    compiled plan. The built-in entry points need none: they all run
+    :meth:`~repro.core.moderator.AspectModerator.guarded_call`, which
+    fetches the current plan per call at the same cost.
     """
 
     __slots__ = ("moderator", "method_id", "_plan")

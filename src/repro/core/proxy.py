@@ -21,10 +21,8 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Iterable, Optional, Set
 
-from .errors import MethodAborted
 from .joinpoint import JoinPoint
 from .moderator import AspectModerator
-from .results import AspectResult, Phase
 
 
 class ComponentProxy:
@@ -132,50 +130,24 @@ class ComponentProxy:
                target: Callable[..., Any]) -> Callable[..., Any]:
         """Wrap ``target`` in the pre-/post-activation bracket (Figure 10).
 
-        Compiled-pipeline moderators hand out a stable
-        :class:`~repro.core.plan.PlanHandle` per method; the wrapper
-        captures the handle (never a plan) and revalidates per call —
-        a few integer compares — so a cached wrapper sees a swapped or
-        quarantined aspect on its very next invocation.
+        The wrapper holds no plan: :meth:`AspectModerator.guarded_call`
+        fetches the current one per call (a dict probe plus an int-tuple
+        compare), so a cached wrapper sees a swapped or quarantined
+        aspect on its very next invocation.
         """
         moderator = self._moderator
         component = self._component
         caller = self._caller
         timeout = self._timeout
-        handle = (
-            moderator.plan_handle(method_id)
-            if moderator.compile_plans else None
-        )
 
         @functools.wraps(target)
         def guarded(*args: Any, **kwargs: Any) -> Any:
-            plan = handle.current() if handle is not None else None
-            joinpoint = JoinPoint(
-                method_id=method_id, component=component,
-                args=args, kwargs=kwargs, caller=caller,
+            return moderator.guarded_call(
+                method_id,
+                JoinPoint(method_id=method_id, component=component,
+                          args=args, kwargs=kwargs, caller=caller),
+                target, args, kwargs, timeout=timeout,
             )
-            result = moderator.preactivation(
-                method_id, joinpoint, timeout=timeout, plan=plan
-            )
-            if result is not AspectResult.RESUME:
-                raise MethodAborted(
-                    method_id,
-                    concern=joinpoint.context.get("abort_concern"),
-                )
-            joinpoint.phase = Phase.INVOCATION
-            try:
-                if not joinpoint.invocation_skipped:
-                    moderator.events.emit(
-                        "invoke", method_id,
-                        activation_id=joinpoint.activation_id,
-                    )
-                    joinpoint.result = target(*args, **kwargs)
-            except BaseException as exc:
-                joinpoint.exception = exc
-                raise
-            finally:
-                moderator.postactivation(method_id, joinpoint, plan=plan)
-            return joinpoint.result
 
         return guarded
 
@@ -203,32 +175,11 @@ class ComponentProxy:
             args=args, kwargs=kwargs,
             caller=caller if caller is not None else self._caller,
         )
-        effective_timeout = timeout if timeout is not None else self._timeout
-        plan = (
-            self._moderator.plan_handle(method_id).current()
-            if self._moderator.compile_plans else None
-        )
-        result = self._moderator.preactivation(
-            method_id, joinpoint, timeout=effective_timeout, plan=plan,
+        return self._moderator.guarded_call(
+            method_id, joinpoint, target, args, kwargs,
+            timeout=timeout if timeout is not None else self._timeout,
             deadline=deadline,
         )
-        if result is not AspectResult.RESUME:
-            raise MethodAborted(
-                method_id, concern=joinpoint.context.get("abort_concern")
-            )
-        try:
-            if not joinpoint.invocation_skipped:
-                self._moderator.events.emit(
-                    "invoke", method_id,
-                    activation_id=joinpoint.activation_id,
-                )
-                joinpoint.result = target(*args, **kwargs)
-        except BaseException as exc:
-            joinpoint.exception = exc
-            raise
-        finally:
-            self._moderator.postactivation(method_id, joinpoint, plan=plan)
-        return joinpoint.result
 
     def __repr__(self) -> str:
         return (
@@ -267,34 +218,16 @@ class GuardedMethod:
             return self  # type: ignore[return-value]
         moderator: AspectModerator = getattr(instance, self.moderator_attr)
         target = getattr(super(self._owner, instance), self.method_id)
-        handle = (
-            moderator.plan_handle(self.method_id)
-            if moderator.compile_plans else None
-        )
+        method_id = self.method_id
 
         def guarded(*args: Any, **kwargs: Any) -> Any:
-            plan = handle.current() if handle is not None else None
-            joinpoint = JoinPoint(
-                method_id=self.method_id, component=instance,
-                args=args, kwargs=kwargs,
-                caller=getattr(instance, "__caller__", None),
+            return moderator.guarded_call(
+                method_id,
+                JoinPoint(method_id=method_id, component=instance,
+                          args=args, kwargs=kwargs,
+                          caller=getattr(instance, "__caller__", None)),
+                target, args, kwargs,
             )
-            result = moderator.preactivation(self.method_id, joinpoint,
-                                             plan=plan)
-            if result is not AspectResult.RESUME:
-                raise MethodAborted(
-                    self.method_id,
-                    concern=joinpoint.context.get("abort_concern"),
-                )
-            try:
-                joinpoint.result = target(*args, **kwargs)
-            except BaseException as exc:
-                joinpoint.exception = exc
-                raise
-            finally:
-                moderator.postactivation(self.method_id, joinpoint,
-                                         plan=plan)
-            return joinpoint.result
 
         functools.update_wrapper(guarded, target)
         return guarded

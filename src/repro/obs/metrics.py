@@ -206,6 +206,18 @@ class MetricSnapshot:
     samples: Dict[Tuple[str, ...], Any] = field(default_factory=dict)
 
 
+class _SeededCells(threading.local):
+    """Per-thread ``cells``: a counter block's seeded stripe dict."""
+
+    def __init__(self, block: "CounterBlock") -> None:
+        # threading.local runs this once in every thread that reads it
+        stripe = block._registry._stripe()
+        with stripe.lock:
+            for key in block.keys.values():
+                stripe.counters.setdefault(key, 0.0)
+        self.cells = stripe.counters
+
+
 class CounterBlock:
     """Fixed-name block of counters bumped together atomically.
 
@@ -215,27 +227,31 @@ class CounterBlock:
     never be observed out of step by a snapshot.
 
     Single-name bumps take a lock-free fast path: each writer thread
-    caches a direct reference to its stripe's cell, and since only the
-    owning thread ever writes its stripe, the steady-state increment is
-    two dict operations under the GIL. The cell is *inserted* under the
-    stripe lock, so a snapshot iterating the stripe's dict (which it
-    does under that lock) can never see the dict resize mid-iteration —
-    at worst it misses an increment that lands during the merge, which
-    the next snapshot observes.
+    holds a direct reference to its stripe's counters dict
+    (:attr:`local`), and since only the owning thread ever writes its
+    stripe, the steady-state increment is two dict operations under the
+    GIL. A thread's cells are *inserted* (seeded at zero, all at once)
+    under the stripe lock, so a snapshot iterating the stripe's dict
+    (which it does under that lock) can never see the dict resize
+    mid-iteration — at worst it misses an increment that lands during
+    the merge, which the next snapshot observes.
     """
 
-    __slots__ = ("_registry", "_keys", "names", "_cells")
+    __slots__ = ("_registry", "keys", "names", "local")
 
     def __init__(self, registry: "MetricsRegistry", names: Iterable[str],
                  prefix: str = "", help: str = "") -> None:
         self._registry = registry
         self.names = tuple(names)
-        self._keys: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
+        #: counter name -> cell key in a stripe's ``counters`` dict
+        self.keys: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
         for name in self.names:
             family = registry.counter(prefix + name, help=help or name)
-            self._keys[name] = family.labels()._key
-        #: per-thread cache of name -> (stripe counters dict, cell key)
-        self._cells = threading.local()
+            self.keys[name] = family.labels()._key
+        #: ``local.cells`` is this thread's seeded stripe dict, so
+        #: ``local.cells[block.keys[name]] += 1`` is a single-name bump
+        #: with no Python call at all (the moderation driver's form)
+        self.local = _SeededCells(self)
 
     def inc(self, name: str, amount: float = 1) -> None:
         """Single-counter increment — the lock-free fast path, directly.
@@ -244,14 +260,9 @@ class CounterBlock:
         hot paths call this once per request, so the saved tuple
         allocation is measurable end to end.
         """
-        cells = getattr(self._cells, "map", None)
-        if cells is None:
-            cells = self._cells.map = {}
-        cell = cells.get(name)
-        if cell is None:
-            cell = cells[name] = self._seed_cell(name)
-        counters, key = cell
-        counters[key] = counters[key] + amount
+        cells = self.local.cells
+        key = self.keys[name]
+        cells[key] = cells[key] + amount
 
     def bump(self, *names: str, amount: float = 1) -> None:
         if len(names) == 1:
@@ -261,31 +272,23 @@ class CounterBlock:
         stripe = getattr(registry._local, "stripe", None)
         if stripe is None:
             stripe = registry._stripe()
-        keys = self._keys
+        keys = self.keys
         with stripe.lock:
             counters = stripe.counters
             for name in names:
                 key = keys[name]
                 counters[key] = counters.get(key, 0) + amount
 
-    def _seed_cell(self, name: str) -> Tuple[Dict[Any, float], Any]:
-        """Insert this thread's cell under the stripe lock, once."""
-        stripe = self._registry._stripe()
-        key = self._keys[name]
-        with stripe.lock:
-            stripe.counters.setdefault(key, 0.0)
-        return stripe.counters, key
-
     def value(self, name: str) -> float:
-        return self._registry._cell_value(self._keys[name])
+        return self._registry._cell_value(self.keys[name])
 
     def as_dict(self) -> Dict[str, int]:
         """Consistent snapshot of every counter in the block."""
         merged = self._registry._consistent_counters(
-            [self._keys[name] for name in self.names]
+            [self.keys[name] for name in self.names]
         )
         return {
-            name: int(merged[self._keys[name]]) for name in self.names
+            name: int(merged[self.keys[name]]) for name in self.names
         }
 
 

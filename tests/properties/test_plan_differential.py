@@ -24,6 +24,15 @@ and every double-fault plan (228 schedules), imported rather than
 re-derived so the two suites can never drift apart. Sequential driving
 makes both runs deterministic — any divergence is a real semantic
 difference, not an interleaving artifact.
+
+Every schedule is driven through all four entry points — proxy
+attribute access, ``ComponentProxy.call``, a paper-style
+``GuardedMethod`` class and a ``@moderated`` woven class — compiled and
+interpreted, and each run must equal the interpreted attribute-path
+reference. Armed injectors keep those plans on the generic executor, so
+the fault-free schedule and a set of *uninjected* fault scripts (aspects
+that raise on their own) also run with no injector installed: that is
+where the activation driver's own walk and unwind execute.
 """
 
 import pytest
@@ -33,13 +42,16 @@ from repro.core import (
     AspectModerator,
     ComponentProxy,
     CompositionErrors,
+    GuardedMethod,
     MethodAborted,
     Tracer,
+    moderated,
+    participating,
 )
 from repro.core.aspect import FunctionAspect
 from repro.aspects.audit import AuditAspect
 from repro.aspects.synchronization import MutexAspect, SemaphoreAspect
-from repro.faults import FaultInjector
+from repro.faults import FaultInjector, FaultPlan
 from repro.obs.spans import SpanRecorder
 
 from tests.properties.test_fault_chaos import (
@@ -52,7 +64,65 @@ from tests.properties.test_fault_chaos import (
 pytestmark = pytest.mark.differential
 
 
-def _build(compile_plans):
+class Sink:
+    def __init__(self):
+        self.accepted = []
+
+    def push(self, value):
+        self.accepted.append(value)
+        return value
+
+
+class PaperSink(Sink):
+    """Hand-written proxy in the paper's style (Figure 10)."""
+
+    push = GuardedMethod("push")
+
+    def __init__(self, moderator):
+        super().__init__()
+        self.moderator = moderator
+
+
+@moderated
+class WovenSink(Sink):
+    """Woven class: instances are their own proxies."""
+
+    def __init__(self, moderator):
+        super().__init__()
+        self.moderator = moderator
+
+    @participating
+    def push(self, value):
+        return Sink.push(self, value)
+
+
+def _attribute_entry(moderator):
+    sink = Sink()
+    proxy = ComponentProxy(sink, moderator)
+    return sink, lambda value: proxy.push(value)
+
+
+def _call_entry(moderator):
+    sink = Sink()
+    proxy = ComponentProxy(sink, moderator)
+    return sink, lambda value: proxy.call("push", value)
+
+
+def _own_proxy_entry(sink):
+    return sink, sink.push
+
+
+#: entry point -> (moderator -> (component, push callable))
+ENTRY_POINTS = {
+    "attribute": _attribute_entry,
+    "call": _call_entry,
+    "guarded_method": lambda moderator: _own_proxy_entry(
+        PaperSink(moderator)),
+    "woven": lambda moderator: _own_proxy_entry(WovenSink(moderator)),
+}
+
+
+def _build(compile_plans, entry="attribute", probe=None):
     moderator = AspectModerator(
         default_timeout=10.0, fault_threshold=2,
         compile_plans=compile_plans,
@@ -60,24 +130,16 @@ def _build(compile_plans):
     audit = AuditAspect()
     mutex = MutexAspect()
     semaphore = SemaphoreAspect(2)
-    probe = FunctionAspect(concern="probe")
+    if probe is None:
+        probe = FunctionAspect(concern="probe")
     moderator.register_aspect("push", "audit", audit)
     moderator.register_aspect("push", "mutex", mutex)
     moderator.register_aspect("push", "semaphore", semaphore)
     moderator.register_aspect("push", "probe", probe,
                               fault_policy="fail_open")
-
-    class Sink:
-        def __init__(self):
-            self.accepted = []
-
-        def push(self, value):
-            self.accepted.append(value)
-            return value
-
-    sink = Sink()
+    sink, push = ENTRY_POINTS[entry](moderator)
     aspects = {"audit": audit, "mutex": mutex, "semaphore": semaphore}
-    return moderator, aspects, sink, ComponentProxy(sink, moderator)
+    return moderator, aspects, sink, push
 
 
 def _fault_signature(fault):
@@ -113,11 +175,17 @@ def _span_shape(span):
     )
 
 
-def _observe(compile_plans, plan):
-    """One sequential run; everything an observer could compare."""
-    moderator, aspects, sink, proxy = _build(compile_plans)
-    injector = FaultInjector(plan)
-    injector.install(moderator)
+def _observe(compile_plans, plan, entry="attribute", probe=None):
+    """One sequential run; everything an observer could compare.
+
+    ``plan=None`` installs no injector at all; ``probe`` replaces the
+    chain's fail-open probe aspect.
+    """
+    moderator, aspects, sink, push = _build(compile_plans, entry,
+                                            probe() if probe else None)
+    injector = FaultInjector(plan if plan is not None else FaultPlan())
+    if plan is not None:
+        injector.install(moderator)
     tracer = Tracer()
     recorder = SpanRecorder()
     unsubscribe = moderator.events.subscribe(tracer)
@@ -128,7 +196,7 @@ def _observe(compile_plans, plan):
         for call in range(CALLS):
             value = index * 100 + call
             try:
-                outcomes.append(("ok", proxy.push(value)))
+                outcomes.append(("ok", push(value)))
             except MethodAborted as exc:
                 outcomes.append(("aborted", value, exc.concern))
             except (AspectFault, CompositionErrors) as fault:
@@ -171,18 +239,27 @@ def _observe(compile_plans, plan):
     }
 
 
-def _assert_identical(plan):
-    interpreted = _observe(False, plan)
-    compiled = _observe(True, plan)
-    for key in interpreted:
-        assert compiled[key] == interpreted[key], (
-            f"{key} diverged under plan {plan.describe()}:\n"
-            f"  interpreted: {interpreted[key]!r}\n"
-            f"  compiled:    {compiled[key]!r}"
-        )
-    # both modes are fully unwound — nothing wedged, nothing leaked
-    assert interpreted["mutex_holder"] is None
-    assert interpreted["semaphore_in_use"] == 0
+def _assert_identical(plan, probe=None):
+    """Every entry point, compiled and interpreted, matches the
+    interpreted attribute-path reference."""
+    reference = _observe(False, plan, probe=probe)
+    for entry in ENTRY_POINTS:
+        for compile_plans in (True, False):
+            if entry == "attribute" and not compile_plans:
+                continue
+            observed = _observe(compile_plans, plan, entry, probe)
+            mode = "compiled" if compile_plans else "interpreted"
+            for key in reference:
+                assert observed[key] == reference[key], (
+                    f"{key} diverged under plan "
+                    f"{plan.describe() if plan is not None else 'none'} "
+                    f"through {entry}:\n"
+                    f"  interpreted attribute: {reference[key]!r}\n"
+                    f"  {mode} {entry}: {observed[key]!r}"
+                )
+    # fully unwound — nothing wedged, nothing leaked
+    assert reference["mutex_holder"] is None
+    assert reference["semaphore_in_use"] == 0
 
 
 @pytest.mark.parametrize(
@@ -198,9 +275,44 @@ def test_double_fault_schedules_identical(plan):
 
 
 def test_fault_free_run_identical():
-    from repro.faults import FaultPlan
-
     _assert_identical(FaultPlan())
+    # no injector installed: the driver's walk and unwind run
+    _assert_identical(None)
+
+
+class _ScriptedProbe(FunctionAspect):
+    """A probe that raises on its own, at scripted visits of one phase."""
+
+    def __init__(self, phase, visits):
+        super().__init__(concern="probe")
+        self.script = (phase, frozenset(visits))
+        self.visits = {"precondition": 0, "postaction": 0}
+
+    def _visit(self, phase):
+        self.visits[phase] += 1
+        scripted_phase, visits = self.script
+        if phase == scripted_phase and self.visits[phase] in visits:
+            raise RuntimeError(f"probe {phase} #{self.visits[phase]}")
+
+    def precondition(self, joinpoint):
+        self._visit("precondition")
+        return True
+
+    def postaction(self, joinpoint):
+        self._visit("postaction")
+
+
+@pytest.mark.parametrize("phase,visits", [
+    ("precondition", (1,)),
+    ("precondition", (2, 5)),
+    ("postaction", (3,)),
+    ("postaction", (1, 2)),
+])
+def test_uninjected_faults_identical(phase, visits):
+    """Faults raised by an aspect itself, with no injector armed: the
+    driver compensates them, and a second fault quarantines the probe
+    and moves the plan to the generic executor mid-script."""
+    _assert_identical(None, probe=lambda: _ScriptedProbe(phase, visits))
 
 
 def test_plan_space_is_the_chaos_suites():

@@ -1,0 +1,98 @@
+"""Call-count budgets of one moderated activation.
+
+Wall-clock time on a shared machine drifts by tens of percent, so the
+cost of the moderation bracket is gated on a figure with no noise: the
+number of Python function calls one activation makes, counted with
+``sys.setprofile`` on the calling thread while the cyclic collector is
+off (a collection runs finalizers mid-activation). Every call counts —
+proxy, moderator, aspects, the component body.
+
+A budget changes only together with a line in CHANGES.md saying why.
+"""
+
+import gc
+import sys
+
+from repro.apps import build_ticketing_cluster, make_session_manager
+from repro.aspects.audit import AuditLog
+from repro.concurrency.buffer import Ticket
+from repro.core import AspectModerator, ComponentProxy, FunctionAspect
+from repro.core.results import RESUME
+
+#: one-aspect RESUME through a ComponentProxy attribute call
+ONE_ASPECT_BUDGET = 30
+#: the ticketing chain (authentication wraps sync, audit observes both)
+#: through ``ComponentProxy.call``, averaged over open/assign pairs
+TICKETING_BUDGET = 50
+
+WARM = 20
+MEASURED = 100
+
+
+def _calls_per_activation(activate, activations):
+    """Mean Python calls per activation over ``activations`` of them."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    gc.collect()
+    gc.disable()
+    try:
+        sys.setprofile(profile)
+        try:
+            for _ in range(activations):
+                activate()
+        finally:
+            sys.setprofile(None)
+    finally:
+        gc.enable()
+    return calls / activations
+
+
+class Component:
+    def work(self, value):
+        return value
+
+
+def test_one_aspect_resume_within_budget():
+    moderator = AspectModerator()
+    moderator.register_aspect("work", "guard", FunctionAspect(
+        concern="guard", precondition=lambda joinpoint: RESUME,
+    ))
+    proxy = ComponentProxy(Component(), moderator)
+    for _ in range(WARM):
+        proxy.work(1)
+    calls = _calls_per_activation(lambda: proxy.work(1), MEASURED)
+    assert calls <= ONE_ASPECT_BUDGET, (
+        f"one-aspect RESUME made {calls} Python calls per activation "
+        f"(budget {ONE_ASPECT_BUDGET})"
+    )
+    assert moderator.stats.resumes == WARM + MEASURED
+
+
+def test_ticketing_chain_within_budget():
+    sessions = make_session_manager({"alice": "pw"})
+    token = sessions.login("alice", "pw")
+    cluster = build_ticketing_cluster(
+        capacity=16, sessions=sessions, audit_log=AuditLog(),
+    )
+    proxy = cluster.proxy
+
+    def open_and_assign():
+        proxy.call("open", Ticket(summary="fault", reporter="bench"),
+                   caller=token)
+        proxy.call("assign", "agent", caller=token)
+
+    for _ in range(WARM):
+        open_and_assign()
+    # one open/assign pair is two activations
+    calls = _calls_per_activation(open_and_assign, MEASURED) / 2
+    assert calls <= TICKETING_BUDGET, (
+        f"ticketing chain made {calls} Python calls per activation "
+        f"(budget {TICKETING_BUDGET})"
+    )
+    assert cluster.component.pending == 0
+    assert cluster.moderator.stats.aborts == 0

@@ -263,3 +263,68 @@ class TestModerationStatsMigration:
             thread.join()
         assert len({id(stripe) for stripe in stripes.values()}) == 3
         assert stats.fastpaths == 3
+
+    def test_driver_bumps_exact_under_contention(self):
+        """The activation driver writes its thread's stripe directly
+        (``stats.local.cells``): with more writers than cores, a short
+        switch interval and a concurrent snapshot reader, no bump is
+        lost and no snapshot trips over a seeding dict."""
+        import sys
+
+        from repro.core import AspectModerator, ComponentProxy, FunctionAspect
+
+        class Component:
+            def locked(self):
+                return 1
+
+            def free(self):
+                return 2
+
+        moderator = AspectModerator()
+        moderator.register_aspect("locked", "a", FunctionAspect(concern="a"))
+        moderator.register_aspect("free", "b", FunctionAspect(
+            concern="b", never_blocks=True,
+        ))
+        proxy = ComponentProxy(Component(), moderator)
+        writers, calls = 6, 300
+        done = threading.Event()
+        errors = []
+
+        def write():
+            for _ in range(calls):
+                proxy.locked()
+                proxy.free()
+
+        def read():
+            while not done.is_set():
+                try:
+                    moderator.stats.as_dict()
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader = threading.Thread(target=read)
+            reader.start()
+            threads = [threading.Thread(target=write) for _ in range(writers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            done.set()
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not reader.is_alive()
+        assert errors == []
+        stats = moderator.stats.as_dict()
+        total = writers * calls
+        assert stats["preactivations"] == 2 * total
+        assert stats["resumes"] == 2 * total
+        assert stats["postactivations"] == 2 * total
+        assert stats["fastpaths"] == total
+        # every locked completion notifies; a lock-free one only when a
+        # locked activation was registered as a waiter at the time
+        assert total <= stats["notifications"] <= 2 * total

@@ -251,3 +251,96 @@ class TestGuardedMethod:
     def test_class_access_returns_descriptor(self):
         proxy_class = self.make_class()
         assert isinstance(proxy_class.__dict__["act"], GuardedMethod)
+
+
+def _entry_points(moderator):
+    """One ``act(value)`` callable per built-in entry point, plus the
+    list each component's body appends ``(value, phase)`` to."""
+    from repro.core import moderated, participating
+
+    ran = []
+
+    class Component:
+        def act(self, value):
+            ran.append((value, self.phase_of()))
+            return f"body:{value}"
+
+        def phase_of(self):
+            return seen["joinpoint"].phase if "joinpoint" in seen else None
+
+    class Paper(Component):
+        act = GuardedMethod("act")
+
+        def __init__(self):
+            self.moderator = moderator
+
+    @moderated
+    class Woven(Component):
+        @participating
+        def act(self, value):
+            return Component.act(self, value)
+
+        def __init__(self):
+            self.moderator = moderator
+
+    proxy = ComponentProxy(Component(), moderator)
+    seen = {}
+    return {
+        "attribute": lambda value: proxy.act(value),
+        "call": lambda value: proxy.call("act", value),
+        "guarded_method": Paper().act,
+        "woven": Woven().act,
+    }, ran, seen
+
+
+ENTRY_POINTS = ("attribute", "call", "guarded_method", "woven")
+
+
+@pytest.mark.parametrize("compile_plans", [True, False])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+class TestEveryEntryPoint:
+    """All four entry points run one bracket, so they agree on skips,
+    phases and the ``invoke`` arrow."""
+
+    def test_cache_hit_skips_the_body(self, entry, compile_plans):
+        # Regression: GuardedMethod ran the body after a caching aspect
+        # served the activation, overwriting the cached result.
+        moderator = AspectModerator(compile_plans=compile_plans)
+        moderator.register_aspect("act", "cache", FunctionAspect(
+            concern="cache",
+            precondition=lambda jp: jp.skip_invocation("cached") or True,
+        ))
+        calls, ran, _seen = _entry_points(moderator)
+        assert calls[entry](1) == "cached"
+        assert ran == []
+        assert moderator.stats.postactivations == 1
+
+    def test_body_runs_in_invocation_phase(self, entry, compile_plans):
+        # Regression: ComponentProxy.call left the phase at
+        # PRE_ACTIVATION while the body ran.
+        from repro.core.results import Phase
+
+        moderator = AspectModerator(compile_plans=compile_plans)
+        calls, ran, seen = _entry_points(moderator)
+        moderator.register_aspect("act", "spy", FunctionAspect(
+            concern="spy",
+            precondition=lambda jp: seen.update(joinpoint=jp) or True,
+        ))
+        assert calls[entry](2) == "body:2"
+        assert ran == [(2, Phase.INVOCATION)]
+        assert seen["joinpoint"].phase is Phase.POST_ACTIVATION
+
+    def test_invoke_arrow_emitted(self, entry, compile_plans):
+        # Regression: GuardedMethod never emitted ``invoke``.
+        from repro.core import Tracer
+
+        moderator = AspectModerator(compile_plans=compile_plans)
+        moderator.register_aspect("act", "a", FunctionAspect(concern="a"))
+        calls, _ran, _seen = _entry_points(moderator)
+        tracer = Tracer()
+        moderator.events.subscribe(tracer)
+        calls[entry](3)
+        assert tracer.kinds() == [
+            "preactivation", "precondition", "invoke", "postactivation",
+            "postaction", "notify",
+        ]
