@@ -112,14 +112,6 @@ class LockDomain:
                 if condition is not None:
                     condition.notify_all()
 
-    def waiter_counts(self) -> "dict[str, int]":
-        """Approximate number of parked threads per queue key."""
-        with self.lock:
-            return {
-                key: len(condition._waiters)  # noqa: SLF001 - CPython detail
-                for key, condition in self._conditions.items()
-            }
-
     def __repr__(self) -> str:
         return f"<LockDomain {self.name!r} queues={len(self._conditions)}>"
 

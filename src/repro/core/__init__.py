@@ -46,7 +46,7 @@ from .continuation import (
 )
 from .joinpoint import JoinPoint
 from .moderator import AspectModerator, ModerationStats
-from .plan import ActivationPlan, PlanCell, PlanHandle, PlanSegment
+from .plan import ActivationPlan, PlanCell, PlanSegment
 from .ordering import (
     ExplicitOrder,
     PriorityOrder,
@@ -116,7 +116,6 @@ __all__ = [
     "NullAspect",
     "Phase",
     "PlanCell",
-    "PlanHandle",
     "PlanSegment",
     "Pointcut",
     "PriorityOrder",

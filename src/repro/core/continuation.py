@@ -16,32 +16,36 @@ process hold ~10^6 parked activations (``benchmarks/bench_parked_scale``).
 Equivalence contract
 --------------------
 
-The threaded runtime stays the reference implementation. This runtime
-re-enters the *same* moderation machinery — :meth:`AspectModerator
-._run_round` for every evaluation round, :meth:`~AspectModerator
-.postactivation` for the unwind — so aspect semantics, compensation,
-quarantine, fault injection and contract check points are shared code,
-not a reimplementation. What this module owns is only the *suspension
-mechanism*: where the threaded runtime calls ``Condition.wait``, the
-reactor registers the continuation in a parked table and returns the
-worker to the pool. The differential suite
+The threaded runtime stays the reference implementation, and this
+runtime shares all of its moderation code: the entry bookkeeping, the
+lock-free ``never_blocks`` round and Figure 11's blocking loop are
+:meth:`AspectModerator.preactivation` and
+:meth:`~AspectModerator._blocking_rounds`, the unwind is
+:meth:`~AspectModerator.postactivation`. The loop is parameterised by a
+*park strategy* — the one step taken once a round has BLOCKed, the
+wake epoch has been re-checked and the activation is registered as
+parked. A thread waits on the method's queue in place
+(:class:`~repro.core.moderator.WaitInPlace`); an
+:class:`ActivationContinuation` is the other strategy: it records itself
+in the runtime's table, arms its deadline and returns ``SUSPENDED``, so
+the loop returns and the worker is free. A wake or an expiry re-enters
+the same loop at the next round. The differential suite
 (``tests/properties/test_continuation_differential.py``) holds the two
 runtimes observably identical — outcomes, event streams, span shapes,
-counters, contract verdicts — across all 228 fault-chaos schedules.
+counters, contract verdicts — across all 228 fault-chaos schedules and
+a park/notify/expiry script.
 
-Park/wake race-freedom mirrors the threaded design point for point:
-
-* the continuation registers in the moderator-wide ``_waiters`` count
-  for its whole blocking attempt, so lock-free fast-path completions
-  cannot elide the wake while a continuation could be parked;
-* each evaluation round runs under the method's domain lock, and the
-  continuation registers in the parked table *while still holding that
-  lock* — so a notify (which must acquire the lock) is always ordered
-  after the park, exactly like a ``Condition`` park;
-* elided-lock completions are covered by the moderator's wake epoch:
-  the continuation re-checks the epoch under ``_waiter_guard`` before
-  parking and re-evaluates instead of parking when a completion raced
-  its round (the same protocol the threaded blocker runs).
+There is one parked registry: thread and continuation parks both
+register in the moderator's ``_parked`` count and ``_parked_info`` table
+under ``_waiter_guard``, after the same wake-epoch re-check, so
+:meth:`AspectModerator.parked_snapshot`, ``queue_lengths`` and the wake
+test of ``postactivation`` see one population. The runtime's own table
+maps activation ids to continuations only so that a wake, an expiry or
+:meth:`ContinuationRuntime.close` can claim one — whoever pops it owns
+its next step. A continuation records itself there before its domain
+lock is released, and the moderator reaches the runtime only after it
+has taken the lock of every domain it notifies, so a wake cannot miss a
+continuation that registered before it.
 
 Contract ``old``-state re-anchoring across suspensions is inherited,
 not re-implemented: the contract runner lives in ``joinpoint.context``
@@ -73,18 +77,12 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.concurrency.primitives import WaitQueue
 
-from .errors import ActivationTimeout, ContractViolation, MethodAborted
+from .errors import MethodAborted
 from .joinpoint import JoinPoint
+from .moderator import SUSPENDED, TIMED_OUT, WOKEN
 from .results import AspectResult, Phase
 
 __all__ = ["ActivationContinuation", "CallFuture", "ContinuationRuntime"]
-
-#: continuation lifecycle states (an explicit resumable state machine:
-#: READY -> RUNNING -> {PARKED -> READY -> RUNNING ...} -> DONE)
-READY = "ready"
-RUNNING = "running"
-PARKED = "parked"
-DONE = "done"
 
 
 class CallFuture:
@@ -180,23 +178,28 @@ class ActivationContinuation:
 
     Everything a wake needs to re-run the suffix: the join point (whose
     ``context`` carries the RESUMEd-chain stash and the contract
-    runner), the body callable, and the resolved deadline. The threaded
-    runtime keeps all of this in stack frames pinned by
-    ``Condition.wait``; here it is this object, and the worker's stack
-    unwinds completely while parked.
+    runner), the body callable, and the deadline. The threaded runtime
+    keeps all of this in stack frames pinned by ``Condition.wait``;
+    here it is this object, and the worker's stack unwinds completely
+    while parked.
+
+    It is also the continuation runtime's park strategy (see
+    :class:`~repro.core.moderator.WaitInPlace`): :meth:`park` suspends
+    instead of waiting.
     """
 
     __slots__ = (
-        "method_id", "joinpoint", "func", "args", "kwargs", "wrap",
-        "future", "state", "started", "waiter_registered",
-        "effective_timeout", "expires_at", "timed_out", "woken",
-        "parked_since",
+        "runtime", "clock", "method_id", "joinpoint", "func", "args",
+        "kwargs", "wrap", "future", "timeout", "deadline", "woke",
     )
 
-    def __init__(self, method_id: str, joinpoint: JoinPoint,
-                 func: Optional[Callable[..., Any]],
+    def __init__(self, runtime: "ContinuationRuntime", method_id: str,
+                 joinpoint: JoinPoint, func: Optional[Callable[..., Any]],
                  args: Tuple[Any, ...], kwargs: Dict[str, Any],
-                 wrap: Optional[Callable[[], Any]]) -> None:
+                 wrap: Optional[Callable[[], Any]],
+                 timeout: Optional[float], deadline: Any) -> None:
+        self.runtime = runtime
+        self.clock = runtime._clock
         self.method_id = method_id
         self.joinpoint = joinpoint
         self.func = func
@@ -207,19 +210,34 @@ class ActivationContinuation:
         #: the serving context on whichever worker resumes the suffix)
         self.wrap = wrap
         self.future = CallFuture()
-        self.state = READY
-        #: entry segment (events, contract begin, deadline resolution)
-        #: has run; resumptions re-enter at the evaluation-round segment
-        self.started = False
-        #: holding a slot in the moderator-wide ``_waiters`` count
-        self.waiter_registered = False
-        self.effective_timeout: Optional[float] = None
-        self.expires_at: Optional[float] = None
-        self.timed_out = False
-        #: a wake (vs. a deadline expiry) re-enqueued this continuation;
-        #: drives the ``wakeups`` counter and the ``unblocked`` event
-        self.woken = False
-        self.parked_since = 0.0
+        #: the caller's budget until the first park, then the resolved
+        #: one (effective timeout, absolute expiry) a resumption reuses
+        self.timeout = timeout
+        self.deadline = deadline
+        #: how the last park ended (``WOKEN`` or ``TIMED_OUT``), set by
+        #: whoever claimed it; ``None`` until the first park
+        self.woke: Optional[str] = None
+
+    def park(self, queue: Any, expires_at: Optional[float],
+             timeout: Optional[float]) -> str:
+        """The park step: record this continuation and suspend.
+
+        Called by the moderator's blocking loop under the method's domain
+        lock, after the activation registered as parked. A budget already
+        spent returns ``TIMED_OUT`` at once, as a thread's wait does.
+        """
+        if expires_at is not None and expires_at <= self.clock():
+            return TIMED_OUT
+        self.timeout = timeout
+        self.deadline = expires_at
+        runtime = self.runtime
+        with runtime._lock:
+            if runtime._closed:
+                raise RuntimeError("runtime is closed")
+            runtime._parked[self.joinpoint.activation_id] = self
+        if expires_at is not None:
+            runtime._schedule_expiry(self)
+        return SUSPENDED
 
 
 class ContinuationRuntime:
@@ -243,14 +261,17 @@ class ContinuationRuntime:
                  name: str = "reactor") -> None:
         self._moderator = moderator
         self._engine = engine
+        #: the runtime clock: virtual time in engine mode
+        self._clock: Callable[[], float] = (
+            time.monotonic if engine is None else lambda: engine.now
+        )
         self._lock = threading.Lock()
-        #: activation_id -> parked continuation (the reactor's analogue
-        #: of threads blocked in ``Condition.wait``)
+        #: activation_id -> suspended continuation, for redispatch: a
+        #: wake, an expiry or ``close`` claims an entry by popping it
         self._parked: Dict[int, ActivationContinuation] = {}
         self._closed = False
         self.submitted = 0
         self.completed = 0
-        self.parked_peak = 0
         #: deadline timer state (threaded mode): heap of
         #: (expires_at, activation_id), serviced by a lazy daemon thread
         self._timer_heap: List[Tuple[float, int]] = []
@@ -271,14 +292,9 @@ class ContinuationRuntime:
         moderator.attach_runtime(self)
 
     # ------------------------------------------------------------------
-    # clock / dispatch plumbing (threaded vs. engine-bridged)
+    # dispatch plumbing (threaded vs. engine-bridged)
     # ------------------------------------------------------------------
-    def _now(self) -> float:
-        engine = self._engine
-        return engine.now if engine is not None else time.monotonic()
-
     def _dispatch(self, continuation: ActivationContinuation) -> None:
-        continuation.state = READY
         if self._engine is not None:
             self._engine.call_after(
                 0.0, lambda: self._run(continuation),
@@ -327,79 +343,56 @@ class ContinuationRuntime:
             args=args, kwargs=kwargs, caller=caller,
         )
         continuation = ActivationContinuation(
-            method_id, joinpoint, func, args, kwargs, wrap,
+            self, method_id, joinpoint, func, args, kwargs, wrap,
+            timeout, deadline,
         )
-        now = self._now()
-        moderator = self._moderator
-        effective_timeout = (
-            timeout if timeout is not None else moderator.default_timeout
-        )
-        expires_at = (
-            now + effective_timeout if effective_timeout is not None
-            else None
-        )
-        budget = getattr(deadline, "expires_at", deadline)
-        if budget is not None and (expires_at is None or budget < expires_at):
-            expires_at = budget
-            effective_timeout = max(0.0, budget - now)
-        continuation.effective_timeout = effective_timeout
-        continuation.expires_at = expires_at
         self.submitted += 1
         self._dispatch(continuation)
         return continuation.future
 
     # ------------------------------------------------------------------
-    # the state machine: one call per runnable segment
+    # one call per runnable segment
     # ------------------------------------------------------------------
     def _run(self, continuation: ActivationContinuation) -> None:
-        continuation.state = RUNNING
         wrap = continuation.wrap
-        context = wrap() if wrap is not None else nullcontext()
-        with context:
+        with wrap() if wrap is not None else nullcontext():
             self._advance(continuation)
 
     def _advance(self, continuation: ActivationContinuation) -> None:
-        """Advance a continuation until it parks or completes.
+        """Advance a continuation until it suspends or completes.
 
-        Structured exactly like the threaded bracket — entry segment,
-        Figure-11 evaluation loop, invoke, post-activation — except that
-        where the threaded loop would ``Condition.wait`` this method
-        registers the continuation as parked and *returns*, releasing
-        the worker. A wake or deadline expiry re-enters here and the
-        loop resumes at the next evaluation round (the parked "suffix":
-        compensation already rolled the RESUMEd prefix back, so a fresh
-        round re-runs the whole chain, exactly as a woken thread does).
+        The first run is :meth:`AspectModerator.preactivation` with this
+        continuation as the park strategy; a resumption re-enters the
+        moderator's blocking loop at the next round. Either returns
+        ``None`` when the continuation suspended again. Otherwise the
+        invoke tail runs here, outside every moderator lock, as in
+        :meth:`AspectModerator.guarded_call`.
         """
         moderator = self._moderator
         joinpoint = continuation.joinpoint
         method_id = continuation.method_id
+        woke = continuation.woke
         try:
-            if continuation.woken:
-                # Resumed by a wake: mirror the threaded post-wait
-                # bookkeeping (a deadline expiry, like a timed-out
-                # ``Condition.wait``, bumps and emits neither).
-                continuation.woken = False
-                moderator.stats.bump("wakeups")
-                moderator.events.emit(
-                    "unblocked", method_id,
-                    activation_id=joinpoint.activation_id,
-                    duration=self._now() - continuation.parked_since,
+            if woke is None:
+                outcome = moderator.preactivation(
+                    method_id, joinpoint, timeout=continuation.timeout,
+                    deadline=continuation.deadline, park=continuation,
                 )
-            if not continuation.started:
-                outcome = self._entry_segment(continuation)
-                if outcome is None:
-                    return  # parked during the first blocking attempt
             else:
-                outcome = self._round_segments(continuation)
-                if outcome is None:
-                    return  # parked again
-            self._release_waiter(continuation)
+                outcome = moderator._blocking_rounds(
+                    method_id, joinpoint,
+                    moderator.plan_for(method_id)
+                    if moderator.compile_plans else None,
+                    continuation, continuation.deadline,
+                    continuation.timeout, woke,
+                )
+            if outcome is None:
+                return  # suspended; a wake or an expiry runs it again
             if outcome is AspectResult.ABORT:
                 raise MethodAborted(
                     method_id,
                     concern=joinpoint.context.get("abort_concern"),
                 )
-            # ---- invoke segment (outside every moderator lock) ----
             joinpoint.phase = Phase.INVOCATION
             try:
                 if not joinpoint.invocation_skipped:
@@ -421,170 +414,8 @@ class ContinuationRuntime:
             return
         self._finish(continuation, joinpoint.result, None)
 
-    def _entry_segment(
-        self, continuation: ActivationContinuation
-    ) -> Optional[AspectResult]:
-        """The pre-activation entry: run-once events, contract, fast path.
-
-        Mirrors :meth:`AspectModerator.preactivation` decision for
-        decision (the differential suite holds the streams equal).
-        Returns the pre-activation outcome, or ``None`` if the
-        continuation parked.
-        """
-        moderator = self._moderator
-        joinpoint = continuation.joinpoint
-        method_id = continuation.method_id
-        continuation.started = True
-        joinpoint.phase = Phase.PRE_ACTIVATION
-        moderator.events.emit(
-            "preactivation", method_id,
-            activation_id=joinpoint.activation_id,
-        )
-        moderator.stats.bump("preactivations")
-        if moderator._contracts is not None:
-            try:
-                moderator._contracts.begin(method_id, joinpoint)
-            except ContractViolation as violation:
-                moderator._note_violation(violation, joinpoint)
-                raise
-        if moderator.compile_plans:
-            plan = moderator.plan_for(method_id)
-            never_blocks = plan.never_blocks
-        else:
-            plan = None
-            never_blocks = all(
-                aspect.never_blocks for _, aspect in moderator.ordering(
-                    method_id, moderator.bank.aspects_for(method_id)
-                )
-            )
-        if never_blocks:
-            outcome = moderator._run_round(method_id, joinpoint, plan)
-            if outcome is not AspectResult.BLOCK:
-                if outcome is AspectResult.RESUME:
-                    moderator.stats.bump("fastpaths")
-                return outcome
-        # Register in the moderator-wide waiter count for the whole
-        # blocking attempt — fast-path completions consult it to elide
-        # their wake, and a parked continuation must keep it nonzero.
-        with moderator._waiter_guard:
-            moderator._waiters += 1
-        continuation.waiter_registered = True
-        return self._round_segments(continuation)
-
-    def _round_segments(
-        self, continuation: ActivationContinuation
-    ) -> Optional[AspectResult]:
-        """Figure 11's evaluation loop with parks instead of waits.
-
-        One call runs as many evaluation rounds as stay runnable (raced
-        epochs, domain moves, expired deadlines) and returns the final
-        outcome — or registers the continuation parked and returns
-        ``None``, releasing the worker. The round itself is
-        :meth:`AspectModerator._run_round`, under the method's domain
-        lock: aspect state stays atomic w.r.t. threaded activations of
-        the same method.
-        """
-        moderator = self._moderator
-        joinpoint = continuation.joinpoint
-        method_id = continuation.method_id
-        compiled = moderator.compile_plans
-        plan = None
-        while True:
-            parked = False
-            if compiled:
-                plan = moderator.plan_for(method_id)
-                lock = plan.domain.lock
-            else:
-                domain = moderator._domain_for(method_id)
-                lock = domain.lock
-            with lock:
-                while True:
-                    epoch = moderator._wake_epoch
-                    # The threaded loop's per-round revalidation, which
-                    # also catches a domain move (a key component).
-                    if compiled:
-                        if plan.key != moderator._composition_key():
-                            plan = moderator.plan_for(method_id)
-                            if plan.domain.lock is not lock:
-                                break  # method changed domains
-                    elif moderator._domain_for(method_id) is not domain:
-                        break  # method changed domains; re-acquire
-                    outcome = moderator._run_round(method_id, joinpoint,
-                                                   plan)
-                    if outcome is not AspectResult.BLOCK:
-                        return outcome
-                    if continuation.timed_out:
-                        moderator.events.emit(
-                            "timeout", method_id,
-                            detail=f"{continuation.effective_timeout}s",
-                            activation_id=joinpoint.activation_id,
-                        )
-                        raise ActivationTimeout(
-                            method_id, continuation.effective_timeout
-                        )
-                    with moderator._waiter_guard:
-                        raced = moderator._wake_epoch != epoch
-                        if not raced:
-                            # Park: registered under the domain lock, so
-                            # any notify (which must take this lock) is
-                            # ordered after the registration — a
-                            # continuation cannot miss its wake, exactly
-                            # like a ``Condition`` park.
-                            with self._lock:
-                                continuation.state = PARKED
-                                continuation.parked_since = self._now()
-                                self._parked[
-                                    joinpoint.activation_id
-                                ] = continuation
-                                if len(self._parked) > self.parked_peak:
-                                    self.parked_peak = len(self._parked)
-                    if raced:
-                        # A completion landed while this round was
-                        # evaluating: re-evaluate against the
-                        # post-postaction state instead of parking on a
-                        # notification already sent.
-                        continue
-                    moderator.stats.bump("waits")
-                    parked = True
-                    break
-            if not parked:
-                continue  # method changed domains; re-acquire
-            # Parked (domain lock released). Deadline bookkeeping mirrors
-            # the threaded ``remaining <= 0 or not queue.wait(remaining)``:
-            # an already-expired budget re-claims the continuation for
-            # one final round; a live one arms a timer and the worker is
-            # released with no stack frame left behind.
-            expires_at = continuation.expires_at
-            if expires_at is not None:
-                remaining = expires_at - self._now()
-                if remaining <= 0:
-                    if self._reclaim(continuation):
-                        continuation.timed_out = True
-                        continue
-                    return None  # a wake got there first; it owns the run
-                self._schedule_expiry(continuation)
-            return None
-
-    def _reclaim(self, continuation: ActivationContinuation) -> bool:
-        """Atomically take a just-parked continuation back, if still ours."""
-        with self._lock:
-            if self._parked.pop(
-                continuation.joinpoint.activation_id, None
-            ) is None:
-                return False
-            continuation.state = RUNNING
-            return True
-
-    def _release_waiter(self, continuation: ActivationContinuation) -> None:
-        if continuation.waiter_registered:
-            continuation.waiter_registered = False
-            with self._moderator._waiter_guard:
-                self._moderator._waiters -= 1
-
     def _finish(self, continuation: ActivationContinuation,
                 value: Any, exc: Optional[BaseException]) -> None:
-        self._release_waiter(continuation)
-        continuation.state = DONE
         self.completed += 1
         if exc is not None:
             continuation.future.set_exception(exc)
@@ -618,7 +449,7 @@ class ContinuationRuntime:
                 for continuation in woken:
                     del self._parked[continuation.joinpoint.activation_id]
             for continuation in woken:
-                continuation.woken = True
+                continuation.woke = WOKEN
         for continuation in woken:
             self._dispatch(continuation)
 
@@ -627,7 +458,7 @@ class ContinuationRuntime:
     # ------------------------------------------------------------------
     def _schedule_expiry(self, continuation: ActivationContinuation) -> None:
         activation_id = continuation.joinpoint.activation_id
-        expires_at = continuation.expires_at
+        expires_at = continuation.deadline
         if self._engine is not None:
             self._engine.call_at(
                 expires_at, lambda: self._expire(activation_id),
@@ -671,46 +502,54 @@ class ContinuationRuntime:
             continuation = self._parked.pop(activation_id, None)
             if continuation is None:
                 return
-            continuation.timed_out = True
+            continuation.woke = TIMED_OUT
         self._dispatch(continuation)
 
     # ------------------------------------------------------------------
     # introspection / lifecycle
     # ------------------------------------------------------------------
-    def parked_snapshot(self) -> Dict[int, Tuple[str, float]]:
-        """Parked continuations: id -> (method, parked_since).
-
-        Same shape as :meth:`AspectModerator.parked_snapshot`, which
-        merges this in — the stall watchdog sees continuation-parked
-        activations exactly like thread-parked ones.
-        """
-        with self._lock:
-            return {
-                activation_id: (
-                    continuation.method_id, continuation.parked_since
-                )
-                for activation_id, continuation in self._parked.items()
-            }
-
     @property
     def parked_count(self) -> int:
         return len(self._parked)
 
     def close(self) -> None:
-        """Stop workers and the timer; parked continuations are dropped."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
+        """Stop workers and the timer; fail every parked call.
+
+        Each parked continuation's future fails with the
+        ``RuntimeError`` that :meth:`submit` raises once closed, and its
+        waiter slot and parked registration on the moderator are
+        released. A continuation still running parks into a closed
+        runtime and fails the same way.
+        """
+        moderator = self._moderator
+        # _waiter_guard before the runtime lock: claiming a continuation
+        # and dropping its parked registration are one step to readers
+        # of the registry
+        with moderator._waiter_guard:
+            with self._lock:
+                if self._closed:
+                    return
+                self._closed = True
+                stranded = list(self._parked.values())
+                self._parked.clear()
+            for continuation in stranded:
+                moderator._waiters -= 1
+                moderator._parked -= 1
+                del moderator._parked_info[
+                    continuation.joinpoint.activation_id
+                ]
         with self._timer_cond:
+            self._timer_heap.clear()
             self._timer_cond.notify_all()
+        for continuation in stranded:
+            self._finish(continuation, None,
+                         RuntimeError("runtime is closed"))
         if self._ready is not None:
             for _ in self._threads:
                 self._ready.put(None)
         for thread in self._threads:
             thread.join(timeout=5.0)
-        if self._moderator is not None:
-            self._moderator.detach_runtime(self)
+        moderator.detach_runtime(self)
 
     def __enter__(self) -> "ContinuationRuntime":
         return self

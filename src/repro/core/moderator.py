@@ -90,7 +90,7 @@ from .events import EventBus
 from .health import FAIL_CLOSED, FAIL_OPEN, HealthTracker
 from .joinpoint import SKIP_INVOCATION_KEY, JoinPoint
 from .ordering import OrderingPolicy, registration_order
-from .plan import ActivationPlan, PlanHandle, compile_plan
+from .plan import ActivationPlan, compile_plan
 from .results import AspectResult, Phase
 
 #: context key under which the RESUMEd chain is stashed between phases
@@ -105,6 +105,44 @@ CONTRACT_KEY = "__contract_runner__"
 #: prefix of the private (per-method) lock-domain namespace; user-chosen
 #: shared domain names never collide with it
 _PRIVATE_DOMAIN_PREFIX = "~method:"
+
+#: what a park strategy's step reports (see :class:`WaitInPlace`)
+WOKEN = "woken"
+TIMED_OUT = "timed_out"
+SUSPENDED = "suspended"
+
+
+class WaitInPlace:
+    """The threaded park strategy: Figure 11's ``wait()``, in place.
+
+    A park strategy is the one step of the blocking loop
+    (:meth:`AspectModerator._blocking_rounds`) that differs between
+    runtimes: what happens once a round has BLOCKed, the wake-epoch
+    re-check has passed and the activation is registered as parked.
+    ``park(queue, expires_at, timeout)`` returns ``WOKEN``,
+    ``TIMED_OUT`` or ``SUSPENDED``; ``clock()`` is the time base of
+    deadlines and park stamps. This one waits on the method's condition
+    queue, holding the calling thread, and never suspends. The other is
+    :class:`repro.core.continuation.ActivationContinuation`.
+    """
+
+    __slots__ = ()
+
+    clock = staticmethod(time.monotonic)
+
+    @staticmethod
+    def park(queue: Any, expires_at: Optional[float],
+             timeout: Optional[float]) -> str:
+        if expires_at is None:
+            queue.wait()
+            return WOKEN
+        remaining = expires_at - time.monotonic()
+        if remaining <= 0 or not queue.wait(remaining):
+            return TIMED_OUT
+        return WOKEN
+
+
+WAIT_IN_PLACE = WaitInPlace()
 
 
 #: the moderation counters, in their historical declaration order
@@ -223,11 +261,10 @@ class AspectModerator:
         #: installed clause profiler (``repro.obs.profile``), or ``None``
         #: — plans compile uninstrumented and the hot path pays nothing
         self._profiler = None
-        #: compiled-plan cache: method_id -> ActivationPlan, plus the
-        #: stable handles wrappers hold. Plain-dict reads are GIL-atomic;
-        #: writes race benignly (equivalent plans, last one wins).
+        #: compiled-plan cache: method_id -> ActivationPlan. Plain-dict
+        #: reads are GIL-atomic; writes race benignly (equivalent plans,
+        #: last one wins).
         self._plans: Dict[str, ActivationPlan] = {}
-        self._plan_handles: Dict[str, PlanHandle] = {}
         self.compile_plans = compile_plans
         self.ordering = ordering
         self.default_timeout = default_timeout
@@ -262,24 +299,24 @@ class AspectModerator:
         #: fast-path completions consult it to decide whether a wake is
         #: needed at all (see :meth:`postactivation`)
         self._waiters = 0
-        #: number of activations actually parked in ``Condition.wait``,
-        #: and the wake epoch pairing with it: a completion bumps the
-        #: epoch and reads the count atomically, a blocker re-checks the
-        #: epoch atomically before parking — together they let
-        #: :meth:`_wake` skip touching any domain lock when nothing is
-        #: parked, without losing a wakeup
+        #: number of activations parked — threads in ``Condition.wait``
+        #: and suspended continuations alike — and the wake epoch pairing
+        #: with it: a completion bumps the epoch and reads the count
+        #: atomically, a blocker re-checks the epoch atomically before
+        #: parking — together they let :meth:`_wake` skip touching any
+        #: domain lock when nothing is parked, without losing a wakeup
         self._parked = 0
         self._wake_epoch = 0
         self._waiter_guard = threading.Lock()
-        #: activation_id -> (method_id, parked_since) for every waiter
-        #: currently inside ``Condition.wait`` — the stall watchdog's
+        #: activation_id -> (method_id, parked_since) for every parked
+        #: activation, counted in ``_parked`` — the stall watchdog's
         #: window into the moderator (guarded by ``_waiter_guard``)
         self._parked_info: Dict[int, Tuple[str, float]] = {}
         #: attached continuation runtime
         #: (:class:`repro.core.continuation.ContinuationRuntime`), or
         #: ``None``. When attached, every site that notifies domain
         #: queues also routes the wake into the reactor's ready queue,
-        #: so continuation-parked activations re-evaluate exactly when
+        #: so suspended continuations re-evaluate exactly when
         #: thread-parked ones would. One attribute read on wake paths;
         #: the moderation hot path itself never consults it.
         self._runtime = None
@@ -436,20 +473,6 @@ class AspectModerator:
         self.stats.compile_seconds.observe(plan.compile_seconds)
         return plan
 
-    def plan_handle(self, method_id: str) -> PlanHandle:
-        """The stable :class:`PlanHandle` for ``method_id``.
-
-        The handle survives every recompile, so code holding it picks
-        up a swapped aspect on its very next call.
-        """
-        handle = self._plan_handles.get(method_id)
-        if handle is None:
-            with self._lock:
-                handle = self._plan_handles.setdefault(
-                    method_id, PlanHandle(self, method_id)
-                )
-        return handle
-
     def explain(self, method_id: Optional[str] = None) -> Any:
         """Compiled-contract report(s): one method's, or all methods'."""
         if method_id is not None:
@@ -463,13 +486,13 @@ class AspectModerator:
     # runtime selection (threaded reference vs. continuation reactor)
     # ------------------------------------------------------------------
     def attach_runtime(self, runtime: Any) -> None:
-        """Attach a continuation runtime; its parks join this moderator's.
+        """Attach a continuation runtime, so wakes reach its parks.
 
         Called by :class:`repro.core.continuation.ContinuationRuntime`
         on construction. At most one runtime may be attached; threaded
         activations keep working unchanged alongside it (both park
-        populations re-evaluate on every wake, and both appear in
-        :meth:`parked_snapshot` / :meth:`queue_lengths`).
+        populations re-evaluate on every wake, and both register in the
+        one parked table behind :meth:`parked_snapshot`).
         """
         if self._runtime is not None and self._runtime is not runtime:
             raise RegistrationError(
@@ -674,7 +697,8 @@ class AspectModerator:
         timeout: Optional[float] = None,
         plan: Optional[ActivationPlan] = None,
         deadline: Any = None,
-    ) -> AspectResult:
+        park: Any = WAIT_IN_PLACE,
+    ) -> Optional[AspectResult]:
         """Evaluate the pre-activation phase for one activation.
 
         Returns ``RESUME`` when every aspect's precondition holds (the
@@ -702,11 +726,17 @@ class AspectModerator:
         instead — a remote caller that has already given up never keeps
         an activation parked here.
 
+        ``park`` is the park strategy (:class:`WaitInPlace`, waiting on
+        the calling thread, by default). The continuation runtime passes
+        its :class:`~repro.core.continuation.ActivationContinuation`,
+        which suspends instead; this then returns ``None`` and a wake
+        re-enters :meth:`_blocking_rounds`.
+
         This method is the pre side of the activation driver: one frame
-        runs the entry bookkeeping, the lock-free round of a
-        ``never_blocks`` chain, and Figure 11's blocking loop (waiter
-        registration, the domain lock, per-round revalidation, park and
-        wake). Each round is one :meth:`_run_round` call.
+        runs the entry bookkeeping and the lock-free round of a
+        ``never_blocks`` chain; anything that may BLOCK runs Figure 11's
+        loop, :meth:`_blocking_rounds`. Each round is one
+        :meth:`_run_round` call.
         """
         if joinpoint is None:
             joinpoint = JoinPoint(method_id=method_id)
@@ -730,8 +760,7 @@ class AspectModerator:
                 self._note_violation(violation, joinpoint)
                 raise
 
-        compiled = self.compile_plans
-        if compiled:
+        if self.compile_plans:
             if plan is None:
                 plan = self.plan_for(method_id)
             never_blocks = plan.never_blocks
@@ -756,24 +785,58 @@ class AspectModerator:
             timeout if timeout is not None else self.default_timeout
         )
         expires_at = (
-            time.monotonic() + effective_timeout
+            park.clock() + effective_timeout
             if effective_timeout is not None else None
         )
         budget = getattr(deadline, "expires_at", deadline)
         if budget is not None and (expires_at is None or budget < expires_at):
             expires_at = budget
-            effective_timeout = max(0.0, budget - time.monotonic())
-        # Register in the moderator-wide waiter count for the whole
-        # attempt, before the first round: fast-path completions skip
-        # their wake only when this is zero, and a waiter that could miss
-        # their state change is registered before it evaluates — so the
-        # completion either precedes the evaluation (and is seen) or
-        # follows the registration (and wakes).
+            effective_timeout = max(0.0, budget - park.clock())
+        return self._blocking_rounds(method_id, joinpoint, plan, park,
+                                     expires_at, effective_timeout)
+
+    def _blocking_rounds(
+        self,
+        method_id: str,
+        joinpoint: JoinPoint,
+        plan: Optional[ActivationPlan],
+        park: Any,
+        expires_at: Optional[float],
+        timeout: Optional[float],
+        woke: Optional[str] = None,
+    ) -> Optional[AspectResult]:
+        """Figure 11's ``while (result == BLOCKED) wait()``, for both runtimes.
+
+        Runs rounds under the method's domain lock, revalidating the
+        plan per round, until one does not BLOCK, and returns its
+        outcome. A BLOCKed round re-checks the wake epoch and registers
+        the activation in ``_parked``/``_parked_info`` — the one parked
+        registry — then hands the rest to ``park.park``: a thread waits
+        in place (:class:`WaitInPlace`); a continuation suspends, and
+        this returns ``None`` with the worker free. A wake or an expiry
+        of a suspended continuation re-enters here with ``woke`` set,
+        at the next round.
+
+        The activation holds a slot in ``_waiters`` from its first round
+        to its last, across suspensions; every exit but a suspension
+        gives back the slot and any parked registration.
+        """
         guard = self._waiter_guard
-        with guard:
-            self._waiters += 1
+        activation_id = joinpoint.activation_id
+        compiled = self.compile_plans
+        stats = self.stats
+        events = self.events
+        timed_out = False
+        if woke is None:
+            # Register in the moderator-wide waiter count for the whole
+            # attempt, before the first round: fast-path completions skip
+            # their wake only when this is zero, and a waiter that could
+            # miss their state change is registered before it evaluates —
+            # so the completion either precedes the evaluation (and is
+            # seen) or follows the registration (and wakes).
+            with guard:
+                self._waiters += 1
         try:
-            timed_out = False
             while True:
                 if compiled:
                     lock = plan.domain.lock
@@ -785,6 +848,26 @@ class AspectModerator:
                 # releases this hold.
                 with lock:
                     while True:
+                        if woke is not None:
+                            with guard:
+                                self._parked -= 1
+                                since = self._parked_info.pop(
+                                    activation_id
+                                )[1]
+                            if woke is TIMED_OUT:
+                                # Deadline passed while parked: one final
+                                # round before giving up — a notify may
+                                # have raced the timeout.
+                                timed_out = True
+                            else:
+                                stats.bump("wakeups")
+                                events.emit(
+                                    "unblocked", method_id,
+                                    activation_id=activation_id,
+                                    # park duration, for blocked spans
+                                    duration=park.clock() - since,
+                                )
+                            woke = None
                         # Bare read is safe: a stale value only makes the
                         # pre-park re-check conservatively re-evaluate.
                         epoch = self._wake_epoch
@@ -809,60 +892,36 @@ class AspectModerator:
                         if timed_out:
                             events.emit(
                                 "timeout", method_id,
-                                detail=f"{effective_timeout}s",
-                                activation_id=joinpoint.activation_id,
+                                detail=f"{timeout}s",
+                                activation_id=activation_id,
                             )
-                            raise ActivationTimeout(
-                                method_id, effective_timeout
-                            )
+                            raise ActivationTimeout(method_id, timeout)
                         with guard:
                             raced = self._wake_epoch != epoch
                             if not raced:
                                 self._parked += 1
-                                self._parked_info[
-                                    joinpoint.activation_id
-                                ] = (method_id, time.monotonic())
+                                self._parked_info[activation_id] = (
+                                    method_id, park.clock()
+                                )
                         if raced:
                             # A completion landed while this round was
                             # evaluating (its wake may have skipped the
-                            # not-yet-parked queue): re-evaluate against
-                            # the post-postaction state instead of
-                            # parking on a notification already sent.
+                            # not-yet-parked activation): re-evaluate
+                            # against the post-postaction state instead
+                            # of parking on a notification already sent.
                             continue
                         stats.bump("waits")
-                        try:
-                            if expires_at is None:
-                                queue.wait()
-                            else:
-                                remaining = expires_at - time.monotonic()
-                                if remaining <= 0 or not queue.wait(
-                                    remaining
-                                ):
-                                    # Deadline passed while parked; loop
-                                    # for one final round before giving
-                                    # up — a notify may have raced the
-                                    # timeout.
-                                    timed_out = True
-                                    continue
-                        finally:
-                            with guard:
-                                self._parked -= 1
-                                parked_info = self._parked_info.pop(
-                                    joinpoint.activation_id, None
-                                )
-                        stats.bump("wakeups")
-                        events.emit(
-                            "unblocked", method_id,
-                            activation_id=joinpoint.activation_id,
-                            # park duration, for blocked-span accounting
-                            duration=(
-                                time.monotonic() - parked_info[1]
-                                if parked_info is not None else 0.0
-                            ),
-                        )
+                        woke = park.park(queue, expires_at, timeout)
+                        if woke is SUSPENDED:
+                            return None
         finally:
-            with guard:
-                self._waiters -= 1
+            if woke is not SUSPENDED:
+                with guard:
+                    self._waiters -= 1
+                    # Left while registered (the park step raised).
+                    if self._parked_info.pop(activation_id, None) \
+                            is not None:
+                        self._parked -= 1
 
     def _run_round(self, method_id: str, joinpoint: JoinPoint,
                    plan: Optional[ActivationPlan] = None) -> AspectResult:
@@ -882,8 +941,7 @@ class AspectModerator:
         the interpreter (:meth:`_evaluate_chain`); both mirror the walk
         decision for decision and share its stash, stats, events and
         compensation, which is what keeps the paths observably
-        identical. The continuation runtime runs its rounds through
-        this method too.
+        identical.
         """
         if plan is not None and plan.fast_cells:
             events = self.events
@@ -1232,8 +1290,7 @@ class AspectModerator:
         chain (stale stash, degraded cells, armed injector, contract,
         interpreter) unwinds through :meth:`_run_postactions`, which
         reads injector and contract state live. The wake's slow path
-        (:meth:`_wake`) runs only when an activation is parked or a
-        continuation runtime is attached.
+        (:meth:`_wake`) runs only when an activation is parked.
         """
         if joinpoint is None:
             joinpoint = JoinPoint(method_id=method_id)
@@ -1341,8 +1398,8 @@ class AspectModerator:
                 with self._waiter_guard:
                     self._wake_epoch += 1
                     parked = self._parked
-                if parked or self._runtime is not None:
-                    self._wake(method_id, parked)
+                if parked:
+                    self._wake(method_id)
                 cells[keys["notifications"]] += 1
                 if listening:
                     events.emit("notify", method_id,
@@ -1428,7 +1485,8 @@ class AspectModerator:
                 if events._listeners:
                     events.emit("invoke", method_id,
                                 activation_id=joinpoint.activation_id)
-                joinpoint.result = body(*args, **kwargs)
+                # The ``result`` setter's slot, minus its frame.
+                joinpoint._result = body(*args, **kwargs)
         except BaseException as exc:
             joinpoint.exception = exc
             raise
@@ -1500,15 +1558,15 @@ class AspectModerator:
         with self._lock:
             return list(self._domains.values())
 
-    def _wake(self, method_id: str, parked: int) -> None:
+    def _wake(self, method_id: str) -> None:
         """Second phase of post-activation, slow path: notify targets.
 
         :meth:`postactivation` bumps the wake epoch and reads the parked
         count in one step under ``_waiter_guard``, then calls here only
-        when ``parked`` is nonzero or a continuation runtime is attached.
-        Must be called while holding **no** domain lock; each target
-        condition is notified under its own domain's lock, which orders
-        the notification after any in-flight park on that queue.
+        when something is parked. Must be called while holding **no**
+        domain lock; each target condition is notified under its own
+        domain's lock, which orders the notification after any in-flight
+        park on that queue.
 
         When nothing is parked anywhere the domain locks are never
         touched — otherwise every completion on one stripe would contend
@@ -1521,19 +1579,9 @@ class AspectModerator:
         lock) or forces it to re-evaluate against the post-postaction
         state.
         """
-        runtime = self._runtime
         targets: Optional[set] = None
         if self.notify_scope == "linked":
             targets = self._linked_methods(method_id)
-        if runtime is not None:
-            # Continuation-parked activations take the same wake, under
-            # the same scope policy. Ordered against continuation parks
-            # by the epoch bump (a continuation re-checks the epoch
-            # before parking, exactly like a threaded blocker).
-            runtime.wake(targets)
-        if not parked:
-            return
-        if targets is not None:
             own_domain = self._domain_for(method_id)
             for domain in self._all_domains():
                 if domain is own_domain:
@@ -1547,6 +1595,15 @@ class AspectModerator:
         else:
             for domain in self._all_domains():
                 domain.notify_all()
+        runtime = self._runtime
+        if runtime is not None:
+            # Continuation-parked activations take the same wake, under
+            # the same scope policy — and only now, once every domain's
+            # lock has been taken above: a continuation records itself
+            # in the runtime's table before releasing its domain lock,
+            # so one registered as parked before the epoch bump is in
+            # that table by now.
+            runtime.wake(targets)
 
     def _linked_methods(self, method_id: str) -> set:
         """Methods sharing at least one aspect instance with ``method_id``.
@@ -1603,34 +1660,22 @@ class AspectModerator:
     def parked_snapshot(self) -> Dict[int, Tuple[str, float]]:
         """Activations currently parked: id -> (method, parked_since).
 
-        ``parked_since`` is a ``time.monotonic`` stamp. Consumed by the
-        stall watchdog (:class:`repro.core.watchdog.ActivationWatchdog`)
-        to turn silent hangs into diagnostics. With a continuation
-        runtime attached, its parked continuations are merged in — a
-        stalled activation surfaces identically whichever runtime parks
-        it (activation ids are globally unique, so the union is
-        collision-free).
+        ``parked_since`` is a stamp of the park strategy's clock
+        (``time.monotonic`` for threads and threaded continuations).
+        Consumed by the stall watchdog
+        (:class:`repro.core.watchdog.ActivationWatchdog`) to turn silent
+        hangs into diagnostics. Thread parks and continuation parks
+        register in the same table, so a stalled activation surfaces
+        identically whichever runtime parks it.
         """
         with self._waiter_guard:
-            snapshot = dict(self._parked_info)
-        runtime = self._runtime
-        if runtime is not None:
-            snapshot.update(runtime.parked_snapshot())
-        return snapshot
+            return dict(self._parked_info)
 
     def queue_lengths(self) -> Dict[str, int]:
-        """Approximate number of activations parked per method queue.
-
-        Counts threads inside ``Condition.wait`` plus, when a
-        continuation runtime is attached, its parked continuations.
-        """
+        """Number of activations parked per method, either runtime."""
         lengths: Dict[str, int] = {}
-        for domain in self._all_domains():
-            for method_id, count in domain.waiter_counts().items():
-                lengths[method_id] = lengths.get(method_id, 0) + count
-        runtime = self._runtime
-        if runtime is not None:
-            for method_id, _since in runtime.parked_snapshot().values():
+        with self._waiter_guard:
+            for method_id, _since in self._parked_info.values():
                 lengths[method_id] = lengths.get(method_id, 0) + 1
         return lengths
 

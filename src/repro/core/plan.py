@@ -46,12 +46,9 @@ the constituents — the stored plan then fails its next validation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .aspect import Aspect
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .moderator import AspectModerator
 
 
 class PlanCell:
@@ -361,40 +358,6 @@ class ActivationPlan:
             f"<ActivationPlan {self.method_id!r} cells={len(self.cells)} "
             f"never_blocks={self.never_blocks} key={self.key}>"
         )
-
-
-class PlanHandle:
-    """Stable per-method handle onto the moderator's plan cache.
-
-    Code that brackets one method across many activations by hand may
-    hold a handle instead of a plan: :meth:`current` revalidates the
-    cached plan against the moderator's composite revision key (a few
-    integer compares) and recompiles through the moderator only when
-    some revision component moved. Handles are shared — one per
-    (moderator, method) — so every holder converges on the same
-    compiled plan. The built-in entry points need none: they all run
-    :meth:`~repro.core.moderator.AspectModerator.guarded_call`, which
-    fetches the current plan per call at the same cost.
-    """
-
-    __slots__ = ("moderator", "method_id", "_plan")
-
-    def __init__(self, moderator: "AspectModerator", method_id: str) -> None:
-        self.moderator = moderator
-        self.method_id = method_id
-        self._plan: Optional[ActivationPlan] = None
-
-    def current(self) -> ActivationPlan:
-        """The currently valid plan, recompiled on revision change."""
-        plan = self._plan
-        if plan is not None and plan.key == self.moderator._composition_key():
-            return plan
-        plan = self.moderator.plan_for(self.method_id)
-        self._plan = plan
-        return plan
-
-    def __repr__(self) -> str:
-        return f"<PlanHandle {self.method_id!r}>"
 
 
 def compile_plan(

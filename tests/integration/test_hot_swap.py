@@ -1,8 +1,8 @@
 """Hot-swap visibility through every cached call path.
 
-Plan compilation introduces three layers of caching between a caller
-and the aspect bank: the moderator's plan cache, per-method
-:class:`PlanHandle` objects, and the proxy/weaver wrapper caches. The
+Plan compilation introduces two layers of caching between a caller
+and the aspect bank: the moderator's plan cache and the proxy/weaver
+wrapper caches. The
 paper's central promise — aspects are runtime-replaceable without
 touching callers ("the semantics of the system can change dynamically
 by registering different aspects", Section 5) — therefore needs an
@@ -19,7 +19,8 @@ sees the new composition. Covered entry points:
   bound wrapper from before the mutation);
 * hand-written paper-style proxies using :class:`GuardedMethod`;
 * ``@moderated``-woven classes (decorator weaving);
-* :meth:`AspectModerator.moderate_call` with an explicit plan handle.
+* :meth:`AspectModerator.moderate_call`, with the cached plan checked
+  through :meth:`AspectModerator.plan_for`.
 """
 
 import pytest
@@ -240,11 +241,10 @@ class TestModerateCallVisibility:
     def test_swap_between_moderate_calls(self):
         moderator = AspectModerator()
         moderator.register_aspect("work", "gate", _counter())
-        handle = moderator.plan_handle("work")
-        first_plan = handle.current()
+        first_plan = moderator.plan_for("work")
 
         assert moderator.moderate_call("work", lambda: "ok") == "ok"
         moderator.bank.swap("work", "gate", _veto())
         with pytest.raises(MethodAborted):
             moderator.moderate_call("work", lambda: "ok")
-        assert handle.current() is not first_plan
+        assert moderator.plan_for("work") is not first_plan

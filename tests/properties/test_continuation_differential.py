@@ -26,7 +26,16 @@ every single-fault and every double-fault plan, 228 schedules.
 Sequential driving (one reactor worker, one call in flight) makes both
 runs deterministic — a divergence is a semantic difference, not an
 interleaving artifact.
+
+The chaos script never parks (one call in flight), so a second script
+parks on purpose: a gate aspect BLOCKs one activation, which is then
+either released by ``notify`` or left to its deadline. A thread parked
+in the threaded bracket is compared with an engine-mode continuation,
+with plans compiled and with the ``compile_plans=False`` interpreter.
 """
+
+import threading
+import time
 
 import pytest
 
@@ -41,11 +50,14 @@ from repro.core import (
     NullAspect,
     Tracer,
 )
+from repro.core import ActivationTimeout
 from repro.core.aspect import FunctionAspect
+from repro.core.results import BLOCK, RESUME
 from repro.aspects.audit import AuditAspect
 from repro.aspects.synchronization import MutexAspect, SemaphoreAspect
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs.spans import SpanRecorder
+from repro.sim import Engine
 
 from tests.properties.test_fault_chaos import (
     CALLS,
@@ -276,3 +288,108 @@ def test_plan_space_is_the_chaos_suites():
     enumeration (24 single-fault + 204 double-fault plans)."""
     assert len(SINGLE_PLANS) == 24
     assert len(DOUBLE_PLANS) == 204
+
+
+# ----------------------------------------------------------------------
+# parking: one gate-BLOCKed activation, released by notify or expired
+# ----------------------------------------------------------------------
+class Gate(NullAspect):
+    """BLOCKs until :attr:`open` flips."""
+
+    concern = "gate"
+    never_blocks = False
+
+    def __init__(self):
+        self.open = False
+
+    def evaluate_precondition(self, joinpoint):
+        return RESUME if self.open else BLOCK
+
+
+#: how long the expiry case may stay parked (seconds; virtual time in
+#: engine mode)
+_PARK_TIMEOUT = 0.05
+
+
+def _observe_parking(continuation, compile_plans, release):
+    moderator = AspectModerator(compile_plans=compile_plans)
+    gate = Gate()
+    moderator.register_aspect("push", "gate", gate)
+    moderator.register_aspect("push", "audit", AuditAspect())
+    sink = Sink()
+    tracer = Tracer()
+    moderator.events.subscribe(tracer)
+    timeout = None if release else _PARK_TIMEOUT
+    outcome = []
+
+    def settle(run):
+        try:
+            outcome.append(("ok", run()))
+        except ActivationTimeout as exc:
+            outcome.append(("timeout", exc.method_id, exc.timeout))
+
+    if continuation:
+        engine = Engine()
+        runtime = ContinuationRuntime(moderator, engine=engine)
+        try:
+            future = runtime.submit("push", sink.push, 7, component=sink,
+                                    timeout=timeout)
+            engine.run(until=_PARK_TIMEOUT / 2)
+            assert runtime.parked_count == 1
+            if release:
+                gate.open = True
+                moderator.notify("push")
+            engine.run()
+            assert runtime.parked_count == 0
+            settle(lambda: future.result(timeout=0))
+        finally:
+            runtime.close()
+    else:
+        caller = threading.Thread(target=settle, args=(
+            lambda: moderator.moderate_call(
+                "push", sink.push, 7, component=sink, timeout=timeout),
+        ))
+        caller.start()
+        if release:
+            deadline = time.monotonic() + 10.0
+            while not moderator.parked_snapshot():
+                assert time.monotonic() < deadline, "never parked"
+                time.sleep(0.001)
+            gate.open = True
+            moderator.notify("push")
+        caller.join(timeout=10.0)
+        assert not caller.is_alive()
+
+    stats = moderator.stats.as_dict()
+    stats.pop("plan_compiles")
+    return {
+        "outcome": outcome,
+        "events": _normalize_events(tracer.events),
+        "stats": stats,
+        "accepted": list(sink.accepted),
+        "parked": moderator.parked_snapshot(),
+    }
+
+
+@pytest.mark.parametrize("compile_plans", [True, False],
+                         ids=["compiled", "interpreted"])
+@pytest.mark.parametrize("release", [True, False],
+                         ids=["notify", "expiry"])
+def test_parked_activation_identical(compile_plans, release):
+    threaded = _observe_parking(False, compile_plans, release)
+    continuation = _observe_parking(True, compile_plans, release)
+    for key in threaded:
+        assert continuation[key] == threaded[key], (
+            f"{key} diverged (compile_plans={compile_plans}, "
+            f"release={release}):\n"
+            f"  threaded:     {threaded[key]!r}\n"
+            f"  continuation: {continuation[key]!r}"
+        )
+    assert threaded["stats"]["waits"] == 1
+    if release:
+        assert threaded["outcome"] == [("ok", 7)]
+        assert threaded["stats"]["wakeups"] == 1
+    else:
+        assert threaded["outcome"] == [("timeout", "push", _PARK_TIMEOUT)]
+        assert threaded["stats"]["wakeups"] == 0
+        assert threaded["accepted"] == []

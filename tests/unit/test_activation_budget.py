@@ -16,14 +16,24 @@ import sys
 from repro.apps import build_ticketing_cluster, make_session_manager
 from repro.aspects.audit import AuditLog
 from repro.concurrency.buffer import Ticket
-from repro.core import AspectModerator, ComponentProxy, FunctionAspect
-from repro.core.results import RESUME
+from repro.core import (
+    AspectModerator,
+    ComponentProxy,
+    ContinuationRuntime,
+    FunctionAspect,
+    NullAspect,
+)
+from repro.core.results import BLOCK, RESUME
+from repro.sim import Engine
 
 #: one-aspect RESUME through a ComponentProxy attribute call
 ONE_ASPECT_BUDGET = 30
 #: the ticketing chain (authentication wraps sync, audit observes both)
 #: through ``ComponentProxy.call``, averaged over open/assign pairs
 TICKETING_BUDGET = 50
+#: one park -> notify -> complete cycle of an engine-mode continuation
+#: runtime (one gate aspect); engine mode runs on the calling thread
+PARK_CYCLE_BUDGET = 120
 
 WARM = 20
 MEASURED = 100
@@ -96,3 +106,48 @@ def test_ticketing_chain_within_budget():
     )
     assert cluster.component.pending == 0
     assert cluster.moderator.stats.aborts == 0
+
+
+class Gate(NullAspect):
+    """BLOCKs until :attr:`open` flips."""
+
+    concern = "gate"
+    never_blocks = False
+
+    def __init__(self):
+        self.open = False
+
+    def precondition(self, joinpoint):
+        return RESUME if self.open else BLOCK
+
+
+def test_park_cycle_within_budget():
+    engine = Engine()
+    moderator = AspectModerator()
+    gate = Gate()
+    moderator.register_aspect("work", "gate", gate)
+    component = Component()
+    runtime = ContinuationRuntime(moderator, engine=engine)
+
+    def park_notify_complete():
+        gate.open = False
+        future = runtime.submit("work", component.work, 1,
+                                component=component)
+        engine.run()
+        gate.open = True
+        moderator.notify("work")
+        engine.run()
+        assert future.result(timeout=0) == 1
+
+    try:
+        for _ in range(WARM):
+            park_notify_complete()
+        calls = _calls_per_activation(park_notify_complete, MEASURED)
+    finally:
+        runtime.close()
+    assert calls <= PARK_CYCLE_BUDGET, (
+        f"park -> notify -> complete made {calls} Python calls per cycle "
+        f"(budget {PARK_CYCLE_BUDGET})"
+    )
+    stats = moderator.stats
+    assert stats.waits == stats.wakeups == WARM + MEASURED

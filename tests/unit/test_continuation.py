@@ -5,8 +5,9 @@ threaded bracket over the chaos schedules; these tests pin the pieces
 that make that possible — the park/wake/timeout lifecycle, plan
 segmentation, the future, runtime attachment, the observability merge
 (watchdog stalls and blocked spans see continuation parks exactly like
-thread parks), contract re-anchoring across a suspension, and the
-deterministic engine bridge.
+thread parks), contract re-anchoring across a suspension, the
+deterministic engine bridge, mixed thread/continuation park populations,
+and what ``close()`` does to parked calls.
 """
 
 import threading
@@ -17,6 +18,7 @@ import pytest
 from repro.contracts import ContractRegistry
 from repro.core import (
     ActivationTimeout,
+    FunctionAspect,
     AspectModerator,
     CallFuture,
     ComponentProxy,
@@ -428,3 +430,102 @@ class TestEngineBridge:
             assert threading.active_count() == before
         finally:
             runtime.close()
+
+
+class TestMixedParks:
+    """A thread and a continuation parked on the same method."""
+
+    def _park_both(self, gate, moderator, sink, runtime):
+        proxy = ComponentProxy(sink, moderator)
+        results = []
+        caller = threading.Thread(
+            target=lambda: results.append(proxy.push(1)))
+        caller.start()
+        future = runtime.submit("push", sink.push, 2, component=sink)
+        deadline = time.monotonic() + 5.0
+        while len(moderator.parked_snapshot()) < 2:
+            assert time.monotonic() < deadline, "both never parked"
+            time.sleep(0.002)
+        parked = moderator.parked_snapshot()
+        assert sorted(method for method, _ in parked.values()) == [
+            "push", "push"]
+        assert moderator.queue_lengths() == {"push": 2}
+        assert runtime.parked_count == 1
+        return caller, results, future
+
+    def _assert_released(self, moderator, sink, caller, results, future):
+        caller.join(timeout=5.0)
+        assert not caller.is_alive()
+        assert results == [1]
+        assert future.result(timeout=5.0) == 2
+        assert sorted(sink.values) == [1, 2]
+        assert moderator.parked_snapshot() == {}
+        assert sum(moderator.queue_lengths().values()) == 0
+        assert moderator._waiters == 0
+        stats = moderator.stats.as_dict()
+        assert stats["waits"] == stats["wakeups"] == 2
+
+    def test_completion_releases_both(self):
+        gate = Gate()
+        moderator, sink = build(("gate", gate))
+        moderator.register_aspect("open_gate", "opener", FunctionAspect(
+            concern="opener", never_blocks=True,
+            postaction=lambda joinpoint: setattr(gate, "open", True),
+        ))
+        with ContinuationRuntime(moderator, workers=1) as runtime:
+            caller, results, future = self._park_both(
+                gate, moderator, sink, runtime)
+            # one activation's postactivation is the only wake
+            moderator.moderate_call("open_gate", lambda: None)
+            self._assert_released(moderator, sink, caller, results, future)
+
+    def test_notify_releases_both(self):
+        gate = Gate()
+        moderator, sink = build(("gate", gate))
+        with ContinuationRuntime(moderator, workers=1) as runtime:
+            caller, results, future = self._park_both(
+                gate, moderator, sink, runtime)
+            gate.open = True
+            moderator.notify("push")
+            self._assert_released(moderator, sink, caller, results, future)
+
+
+class TestClose:
+    """``close()`` fails parked calls instead of stranding them."""
+
+    def test_close_fails_parked_continuation(self):
+        engine = Engine()
+        moderator, sink = build(("gate", Gate()))
+        runtime = ContinuationRuntime(moderator, engine=engine)
+        future = runtime.submit("push", sink.push, 1, component=sink)
+        engine.run()
+        assert runtime.parked_count == 1
+        assert moderator._waiters == 1
+        runtime.close()
+        assert future.done
+        with pytest.raises(RuntimeError, match="runtime is closed"):
+            future.result(timeout=0)
+        assert moderator._waiters == 0
+        assert moderator.parked_snapshot() == {}
+        assert runtime.parked_count == 0
+        engine.run()  # nothing left to run
+        assert sink.values == []
+
+    def test_close_drops_timer_entries(self):
+        moderator, sink = build(("gate", Gate()))
+        runtime = ContinuationRuntime(moderator, workers=1)
+        future = runtime.submit("push", sink.push, 1, component=sink,
+                                timeout=30.0)
+        deadline = time.monotonic() + 5.0
+        while runtime.parked_count == 0:
+            assert time.monotonic() < deadline, "never parked"
+            time.sleep(0.002)
+        runtime.close()
+        with pytest.raises(RuntimeError, match="runtime is closed"):
+            future.result(timeout=1.0)
+        assert runtime._timer_heap == []
+        assert moderator._waiters == 0
+        assert moderator.parked_snapshot() == {}
+        # the moderator serves threaded callers as before
+        moderator.bank.unregister("push", "gate")
+        assert ComponentProxy(sink, moderator).push(3) == 3

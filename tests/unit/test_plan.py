@@ -10,7 +10,6 @@ equivalence; this file proves the *compile-time* promises):
   own component of the composite revision key and forces exactly one
   recompile, and nothing else does;
 * ``explain()`` — the composed contract as data;
-* :class:`PlanHandle` stability across recompiles;
 * the ``plan_compiles`` counter and its ``as_dict`` snapshot;
 * :class:`Tracer` ring-buffer mode (``maxlen`` / ``dropped``);
 * ``lint_plan`` plan-level rules and ``plan_to_dot`` / ``plan_table``
@@ -23,7 +22,6 @@ from repro.analysis import plan_to_dot, plan_table
 from repro.core import (
     AspectModerator,
     FunctionAspect,
-    PlanHandle,
     TraceEvent,
     Tracer,
 )
@@ -258,29 +256,6 @@ class TestInvalidation:
         snapshot = moderator.stats.as_dict()
         assert snapshot["plan_compiles"] == 1
         assert snapshot["plan_compiles"] == moderator.stats.plan_compiles
-
-
-# ----------------------------------------------------------------------
-# handles
-# ----------------------------------------------------------------------
-class TestPlanHandle:
-    def test_handle_is_shared_and_stable(self):
-        moderator = _moderator()
-        handle = moderator.plan_handle("m")
-        assert isinstance(handle, PlanHandle)
-        assert moderator.plan_handle("m") is handle
-
-    def test_current_revalidates_across_recompiles(self):
-        moderator = _moderator()
-        handle = moderator.plan_handle("m")
-        first = handle.current()
-        assert handle.current() is first
-        moderator.bank.swap(
-            "m", "c0", FunctionAspect(concern="c0", never_blocks=True))
-        second = handle.current()
-        assert second is not first
-        assert second is moderator.plan_for("m")
-        assert moderator.plan_handle("m") is handle  # identity survives
 
 
 # ----------------------------------------------------------------------
