@@ -225,6 +225,17 @@ class WaitQueue(Generic[T]):
             self._not_full.notify()
             return item
 
+    def discard(self, item: T) -> int:
+        """Remove every queued ``item`` (by identity); returns how many."""
+        with self._lock:
+            kept = deque(queued for queued in self._items
+                         if queued is not item)
+            removed = len(self._items) - len(kept)
+            if removed:
+                self._items = kept
+                self._not_full.notify(removed)
+            return removed
+
     def close(self) -> None:
         """Close the queue; waiting getters drain then see ``Closed``."""
         with self._lock:

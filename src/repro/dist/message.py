@@ -5,7 +5,9 @@ between "hosts" — the property a real wire gives you). Payloads must be
 plain data (the :func:`check_wire_safe` predicate enforces the subset a
 JSON-ish wire format could carry), which keeps the in-process simulation
 honest: anything that wouldn't survive serialization is rejected at send
-time, not silently shared by reference.
+time, not silently shared by reference. Delivery copies a payload with
+:func:`wire_copy`, one walk that re-checks the same predicate while it
+copies, the way a receiver's decoder would.
 """
 
 from __future__ import annotations
@@ -21,25 +23,94 @@ _message_ids = itertools.count(1)
 #: Types allowed on the simulated wire.
 WIRE_SAFE_TYPES = (type(None), bool, int, float, str, bytes)
 
+#: deepest nesting level a wire-safe value may reach (the outermost
+#: value is at depth 0)
+_MAX_DEPTH = 16
+
+#: the exact scalar types, which both walks handle inline (instances of
+#: their subclasses take the general path)
+_ATOMS = frozenset(WIRE_SAFE_TYPES)
+
 
 def check_wire_safe(value: Any, depth: int = 0) -> bool:
-    """Whether ``value`` could survive a real serialization boundary."""
-    if depth > 16:
+    """Whether ``value`` could survive a real serialization boundary.
+
+    Wire-safe means: a ``WIRE_SAFE_TYPES`` scalar, or a list, tuple or
+    ``str``-keyed dict of wire-safe values (subclasses included), with
+    nothing deeper than depth 16 (``value`` itself is at ``depth``).
+    """
+    if depth > _MAX_DEPTH:
         return False
     if isinstance(value, WIRE_SAFE_TYPES):
         return True
+    # Items of exact scalar types are checked inline: one frame per
+    # container, not per item. Any item of a container at the depth
+    # limit would sit past it.
     if isinstance(value, (list, tuple)):
-        return all(check_wire_safe(item, depth + 1) for item in value)
+        for item in value:
+            if depth >= _MAX_DEPTH or (
+                    type(item) not in _ATOMS
+                    and not check_wire_safe(item, depth + 1)):
+                return False
+        return True
     if isinstance(value, dict):
-        return all(
-            isinstance(key, str) and check_wire_safe(item, depth + 1)
-            for key, item in value.items()
-        )
+        for key, item in value.items():
+            if not isinstance(key, str) or depth >= _MAX_DEPTH or (
+                    type(item) not in _ATOMS
+                    and not check_wire_safe(item, depth + 1)):
+                return False
+        return True
     return False
 
 
 class WireFormatError(TypeError):
     """Raised when a payload is not wire-safe."""
+
+
+def wire_copy(value: Any) -> Any:
+    """A deep copy of a wire-safe ``value``, validated in the same walk.
+
+    Raises :class:`WireFormatError` exactly when
+    ``check_wire_safe(value)`` is False: the same types, the same depth
+    limit and ``str`` keys only. The copy equals ``copy.deepcopy(value)``
+    with the same container types and shares no mutable container with
+    ``value``; instances of subclasses of the wire types are copied by
+    ``copy.deepcopy`` itself, after the predicate has accepted them.
+    Shared sub-values are copied once per reference, as a decoder would
+    rebuild them.
+    """
+    if type(value) in _ATOMS:
+        return value
+    return _copy(value, 0)
+
+
+def _copy(value: Any, depth: int) -> Any:
+    """Copy a non-scalar ``value`` found at ``depth``."""
+    cls = type(value)
+    if cls is dict or cls is list or cls is tuple:
+        if value and depth >= _MAX_DEPTH:
+            raise WireFormatError("value nests deeper than the wire allows")
+        # Scalar items are copied inline: one frame per container, not
+        # per item.
+        if cls is not dict:
+            items = []
+            append = items.append
+            for item in value:
+                append(item if type(item) in _ATOMS
+                       else _copy(item, depth + 1))
+            return items if cls is list else tuple(items)
+        copied = {}
+        for key, item in value.items():
+            if type(key) is not str:
+                if not isinstance(key, str):
+                    raise WireFormatError(f"dict key {key!r} is not a str")
+                key = copy.deepcopy(key)
+            copied[key] = item if type(item) in _ATOMS \
+                else _copy(item, depth + 1)
+        return copied
+    if check_wire_safe(value, depth):
+        return copy.deepcopy(value)
+    raise WireFormatError(f"{cls.__name__} value is not wire-safe")
 
 
 @dataclass(frozen=True)
@@ -50,7 +121,7 @@ class Message:
     dest: str
     kind: str  # "request" | "reply" | "error" | "event"
     payload: Dict[str, Any] = field(default_factory=dict)
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    msg_id: int = field(default_factory=_message_ids.__next__)
     reply_to: Optional[int] = None
     sent_at: float = field(default_factory=time.monotonic)
 
@@ -62,16 +133,31 @@ class Message:
             )
 
     def copy_for_delivery(self) -> "Message":
-        """Deep-copied message, simulating deserialization at the receiver."""
-        return Message(
-            source=self.source,
-            dest=self.dest,
-            kind=self.kind,
-            payload=copy.deepcopy(self.payload),
-            msg_id=self.msg_id,
-            reply_to=self.reply_to,
-            sent_at=self.sent_at,
-        )
+        """Deep-copied message, simulating deserialization at the receiver.
+
+        The payload is copied by :func:`wire_copy`, whose one walk also
+        re-checks wire safety (a sender may have mutated the payload
+        after construction), so the copy skips ``__post_init__``.
+        """
+        try:
+            payload = wire_copy(self.payload)
+        except WireFormatError:
+            raise WireFormatError(
+                f"payload of {self.kind} message {self.source}->{self.dest} "
+                f"is not wire-safe"
+            ) from None
+        return _assemble(self.__dict__, payload=payload)
+
+
+def _assemble(base: Dict[str, Any], **fields: Any) -> Message:
+    """A message with ``base`` and ``fields`` set, skipping ``__post_init__``.
+
+    Only for payloads a :func:`wire_copy` walk has just validated: the
+    construction check would walk them a second time.
+    """
+    message = object.__new__(Message)
+    message.__dict__.update(base, **fields)
+    return message
 
 
 def request(source: str, dest: str, service: str, method: str,
@@ -129,6 +215,21 @@ def reply(to: Message, result: Any) -> Message:
     return Message(
         source=to.dest, dest=to.source, kind="reply",
         payload={"result": result}, reply_to=to.msg_id,
+    )
+
+
+def copied_reply(to: Message, result: Any) -> Message:
+    """A success reply to ``to`` carrying a :func:`wire_copy` of ``result``.
+
+    One walk both validates and snapshots the result, so later changes
+    to the servant's objects cannot reach the reply (or a dedup cache
+    holding its payload). Raises :class:`WireFormatError` when
+    ``result`` is not wire-safe.
+    """
+    return _assemble(
+        {}, source=to.dest, dest=to.source, kind="reply",
+        payload={"result": wire_copy(result)}, msg_id=next(_message_ids),
+        reply_to=to.msg_id, sent_at=time.monotonic(),
     )
 
 

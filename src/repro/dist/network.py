@@ -8,9 +8,15 @@ partitions — so the distributed examples and benches exercise the same
 code paths (marshalling, timeouts, retries, failover) a deployment
 would.
 
-Delivery runs on a single dispatcher thread draining a timed heap, which
-keeps per-link FIFO ordering for equal latencies and makes delivered /
-dropped counts deterministic for a fixed seed and send sequence.
+One rule orders delivery: a message is delivered in ``(deliver_at,
+seq)`` order, where ``seq`` is its place in the send sequence. A message
+that is due now (no latency, no injected delay) with nothing queued
+ahead of it is therefore delivered on the sender's own thread, inside
+``send``. Every other message waits on a timed heap that one dispatcher
+thread drains; that thread starts with the first message it has to
+hold. Both paths share one delivery step, so per-link FIFO holds for
+equal latencies and delivered / dropped counts are deterministic for a
+fixed seed and send sequence.
 """
 
 from __future__ import annotations
@@ -35,9 +41,11 @@ class Network:
         jitter: uniform +/- fraction applied to the latency.
         loss: probability a message is silently dropped.
         seed: RNG seed for jitter and loss decisions.
-        on_error: callback invoked with any exception the dispatcher
-            thread survives (it never dies silently; without a callback
-            errors are only counted in ``dispatch_errors``).
+        on_error: callback invoked with any exception a delivery
+            raises, on the sender's or the dispatcher's thread (delivery
+            errors never reach the sender nor kill the dispatcher;
+            without a callback they are only counted in
+            ``dispatch_errors``).
     """
 
     def __init__(self, latency: float = 0.0, jitter: float = 0.0,
@@ -64,10 +72,10 @@ class Network:
         self._sequence = itertools.count()
         self._wakeup = threading.Condition(self._lock)
         self._closed = False
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="network-dispatch", daemon=True
-        )
-        self._dispatcher.start()
+        #: set while the dispatcher delivers a message it popped: that
+        #: message is still ahead of anything sent meanwhile
+        self._dispatching = False
+        self._dispatcher: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
     # endpoints
@@ -79,9 +87,11 @@ class Network:
 
         ``inbox`` lets the endpoint supply its own queue — e.g. a
         bounded :class:`~repro.dist.resilience.ShedInbox` for admission
-        control. The dispatcher only calls ``put`` (outside its own
-        lock), so any ``WaitQueue`` subclass whose ``put`` does not
-        block works here.
+        control, or an RPC client's reply sink. The network only calls
+        ``put``, outside its own lock, on the sending thread (a message
+        due now) or on the dispatcher thread (a delayed one); so any
+        ``WaitQueue`` subclass whose ``put`` does not block works here.
+        ``put`` may itself send on this network.
         """
         with self._lock:
             if endpoint in self._inboxes:
@@ -140,7 +150,7 @@ class Network:
     # sending
     # ------------------------------------------------------------------
     def send(self, message: Message) -> None:
-        """Queue a message for delivery, applying faults and latency.
+        """Deliver or queue a message, applying faults and latency.
 
         Unknown destinations raise :class:`NodeUnreachable` immediately
         (the simulated analogue of a connection refusal); loss and
@@ -148,7 +158,9 @@ class Network:
         fault injector is consulted per send: its ``skip`` action drops
         the k-th delivery to an endpoint, ``delay`` widens its latency,
         ``raise`` surfaces :class:`~repro.faults.InjectedFault` to the
-        sender.
+        sender. A message due now with nothing queued ahead of it is
+        delivered before ``send`` returns; a failing delivery is counted
+        and reported, never raised here.
         """
         extra_delay = 0.0
         injector = self.fault_injector
@@ -169,7 +181,8 @@ class Network:
                 extra_delay = spec.arg
         with self._lock:
             self.sent += 1
-            if message.dest not in self._inboxes:
+            inbox = self._inboxes.get(message.dest)
+            if inbox is None:
                 raise NodeUnreachable(message.dest)
             if not self._reachable(message.source, message.dest):
                 self.dropped += 1
@@ -180,17 +193,54 @@ class Network:
             delay = self.latency
             if delay > 0 and self.jitter > 0:
                 delay *= 1.0 + self.jitter * (2 * self._rng.random() - 1)
-            deliver_at = time.monotonic() + max(0.0, delay) + extra_delay
-            heapq.heappush(
-                self._heap,
-                (deliver_at, next(self._sequence), message),
+            delay = max(0.0, delay) + extra_delay
+            if delay > 0 or self._heap or self._dispatching:
+                self._queue(message, time.monotonic() + delay)
+                return
+            # Due now, nothing ahead: this send is the delivery.
+            self.delivered += 1
+        self._deliver(inbox, message)
+
+    def _queue(self, message: Message, deliver_at: float) -> None:
+        # under self._lock
+        heapq.heappush(self._heap,
+                       (deliver_at, next(self._sequence), message))
+        if self._dispatcher is None:
+            self._dispatcher = threading.Thread(
+                target=self._dispatch_loop, name="network-dispatch",
+                daemon=True,
             )
+            self._dispatcher.start()
+        else:
             self._wakeup.notify()
 
+    def _deliver(self, inbox: "WaitQueue[Message]",
+                 message: Message) -> None:
+        """Put a copy of ``message`` into ``inbox``; counted delivered.
+
+        A closing inbox (``WaitQueue.Closed``) turns the delivery into a
+        drop. Any other failure — a payload that no longer copies, a
+        broken inbox — is a drop too, and is reported through
+        ``dispatch_errors`` / ``on_error``: it must neither reach the
+        sender nor take the dispatcher down.
+        """
+        try:
+            inbox.put(message.copy_for_delivery())
+        except WaitQueue.Closed:
+            self._undo_delivery()
+        except Exception as exc:  # noqa: BLE001 - contained and reported
+            self._undo_delivery()
+            self._report_error(exc)
+
+    def _undo_delivery(self) -> None:
+        with self._lock:
+            self.delivered -= 1
+            self.dropped += 1
+
     def _dispatch_loop(self) -> None:
-        # The dispatcher is the single point every delivery flows
-        # through: if it died on one bad message the whole network would
-        # silently stop. Each step is therefore contained — errors are
+        # The dispatcher carries every delayed delivery: if it died on
+        # one bad message the delayed traffic would silently stop.
+        # Deliveries contain their own errors; anything else is
         # counted, reported through on_error, and the loop continues.
         while True:
             try:
@@ -202,6 +252,7 @@ class Network:
     def _dispatch_once(self) -> bool:
         """One wait-or-deliver step; True when the network has shut down."""
         with self._wakeup:
+            self._dispatching = False
             while not self._heap and not self._closed:
                 self._wakeup.wait()
             if self._closed and not self._heap:
@@ -214,26 +265,14 @@ class Network:
             heapq.heappop(self._heap)
             # Re-check reachability at delivery time: a partition or
             # crash that happened in flight still loses the message.
-            if message.dest in self._down \
-                    or message.dest not in self._inboxes \
+            inbox = self._inboxes.get(message.dest)
+            if inbox is None \
                     or not self._reachable(message.source, message.dest):
                 self.dropped += 1
                 return False
-            inbox = self._inboxes[message.dest]
             self.delivered += 1
-        try:
-            inbox.put(message.copy_for_delivery())
-        except WaitQueue.Closed:
-            with self._lock:
-                self.delivered -= 1
-                self.dropped += 1
-        except Exception:
-            # A poisoned message (bad payload copy, broken inbox) is
-            # dropped and reported; it must not take the dispatcher down.
-            with self._lock:
-                self.delivered -= 1
-                self.dropped += 1
-            raise
+            self._dispatching = True
+        self._deliver(inbox, message)
         return False
 
     def _report_error(self, exc: BaseException) -> None:
@@ -258,6 +297,12 @@ class Network:
             }
 
     def close(self) -> None:
+        """Unregister every endpoint and stop the dispatcher, if started.
+
+        Queued messages are dropped as they fall due (their endpoints
+        are gone); a network that never delayed a message has no
+        dispatcher thread to stop.
+        """
         with self._wakeup:
             self._closed = True
             self._wakeup.notify_all()

@@ -35,7 +35,14 @@ from repro.core.errors import (
 from repro.core.proxy import ComponentProxy
 from repro.obs import propagation
 from repro.obs.metrics import MetricsRegistry
-from .message import Message, error_reply, reply
+from .message import (
+    Message,
+    WireFormatError,
+    check_wire_safe,
+    copied_reply,
+    error_reply,
+    reply,
+)
 from .network import Network
 from .resilience import (
     Deadline,
@@ -62,6 +69,10 @@ _RECOVERY_COUNTERS = ("journal_appends", "checkpoints",
 #: how long a duplicate of a still-executing call waits for the original
 #: to finish when the request carries no deadline of its own
 _DEFAULT_DUP_WAIT = 5.0
+
+#: put into the inbox once per worker when the node stops: an idle
+#: worker blocked in ``inbox.get`` wakes on it and sees the node stopped
+_WAKE = object()
 
 
 class _NodeCrashed(BaseException):
@@ -312,8 +323,9 @@ class Node:
     def _on_shed(self, message: Message, action: str) -> None:
         """A request was shed at admission; tell its caller.
 
-        Runs on the network dispatcher thread, outside the inbox lock.
-        Both policies answer the shed request's caller with
+        Runs on the thread that delivered the request — its sender's,
+        or the network dispatcher's for a delayed one — outside the
+        inbox lock. Both policies answer the shed request's caller with
         ``Overloaded`` so it wakes promptly and backs off, instead of
         burning its full timeout (under ``drop_oldest`` the *evicted*
         request is the one answered; the arrival was enqueued).
@@ -337,6 +349,9 @@ class Node:
         if self._running:
             return self
         self._running = True
+        # workers a fault-plan crash stopped without a stop() are gone
+        self._threads = [thread for thread in self._threads
+                         if thread.is_alive()]
         for index in range(self._workers):
             thread = threading.Thread(
                 target=self._serve_loop,
@@ -348,13 +363,16 @@ class Node:
         return self
 
     def _serve_loop(self) -> None:
+        inbox = self.inbox
         while self._running:
             try:
-                message = self.inbox.get(timeout=0.2)
-            except TimeoutError:
-                continue
+                message = inbox.get()
             except WaitQueue.Closed:
                 return
+            if message is _WAKE:
+                # a stop's wake-up: the loop test decides (a wake left
+                # over from an earlier stop finds the node running)
+                continue
             if message.kind == "request":
                 try:
                     self._handle_request(message)
@@ -417,7 +435,7 @@ class Node:
                             result = target(*args, **kwargs)
                 finally:
                     self._release(service)
-                response = reply(message, self._wire_result(result))
+                response = self._reply(message, result)
                 self._inc("requests_served")
             except BaseException as exc:  # noqa: BLE001 - to the caller
                 self._inc("requests_failed")
@@ -492,7 +510,7 @@ class Node:
                 result = self._invoke(payload, deadline, key)
                 if injector is not None:
                     self._crash_point(injector, "applied")
-                response = reply(message, self._wire_result(result))
+                response = self._reply(message, result)
             else:
                 # Effect and journal append are one atomic step under
                 # the plan lock: a concurrent checkpoint can therefore
@@ -503,7 +521,7 @@ class Node:
                     result = self._invoke(payload, deadline, key)
                     if injector is not None:
                         self._crash_point(injector, "applied")
-                    response = reply(message, self._wire_result(result))
+                    response = self._reply(message, result)
                     self._journal_effect(plan, service, payload, key,
                                          response)
                 if injector is not None:
@@ -681,7 +699,7 @@ class Node:
         self._release(service)
         exc = future.exception()
         if exc is None:
-            response = reply(message, self._wire_result(future.result()))
+            response = self._reply(message, future.result())
             self._inc("requests_served")
             if entry is not None:
                 self.dedup.finish(key, response.kind, response.payload)
@@ -788,11 +806,21 @@ class Node:
             for p in parameters.values()
         )
 
+    @classmethod
+    def _reply(cls, message: Message, result: Any) -> Message:
+        """The success reply to ``message`` for a servant ``result``.
+
+        A wire-safe result is validated and copied in one walk; any
+        other result is coerced by :meth:`_wire_result` first.
+        """
+        try:
+            return copied_reply(message, result)
+        except WireFormatError:
+            return reply(message, cls._wire_result(result))
+
     @staticmethod
     def _wire_result(result: Any) -> Any:
         """Coerce servant results into wire-safe data."""
-        from .message import check_wire_safe
-
         if check_wire_safe(result):
             return result
         if hasattr(result, "__dict__"):
@@ -955,8 +983,27 @@ class Node:
         # serving thread), just drop off the network, stop the loops,
         # and lose the memory a real process death would lose.
         self.network.take_down(self.node_id)
-        self._running = False
+        self._halt()
         self._lose_memory()
+
+    def _halt(self) -> None:
+        """Stop the serve loops without waiting for them.
+
+        A busy worker sees the flag when its request finishes; an idle
+        one is blocked in ``inbox.get`` and wakes on a :data:`_WAKE`,
+        one per other live worker. Wakes a busy worker never takes stay
+        queued until :meth:`stop` clears them; a restarted worker skips
+        one.
+        """
+        self._running = False
+        current = threading.current_thread()
+        for thread in self._threads:
+            if thread is current or not thread.is_alive():
+                continue
+            try:
+                self.inbox.put(_WAKE)
+            except WaitQueue.Closed:
+                return  # unregistered: the loops exit on Closed
 
     def _lose_memory(self) -> None:
         """Discard every piece of volatile state, as process death does."""
@@ -987,7 +1034,7 @@ class Node:
         a straggler rather than joined (a servant stopping its own
         node must not deadlock).
         """
-        self._running = False
+        self._halt()
         current = threading.current_thread()
         stragglers: List[threading.Thread] = []
         for thread in self._threads:
@@ -998,6 +1045,9 @@ class Node:
             if thread.is_alive():
                 stragglers.append(thread)
         self._threads.clear()
+        # wakes of workers that exited on the flag: they would count
+        # as queued messages (``load``) until a restart skipped them
+        self.inbox.discard(_WAKE)
         return stragglers
 
     def crash(self, lose_memory: bool = False) -> List[threading.Thread]:

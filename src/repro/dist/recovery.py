@@ -48,7 +48,6 @@ non-blocking mutators and checkpoint around the rest.
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import threading
@@ -60,7 +59,7 @@ from urllib.parse import quote
 from repro.core.errors import FencedOut, NameNotFound, NetworkError
 from repro.core.proxy import ComponentProxy
 from repro.obs.metrics import MetricsRegistry
-from .message import WireFormatError, check_wire_safe
+from .message import WireFormatError, wire_copy
 from .naming import Binding, NameService
 from .node import Node
 
@@ -129,18 +128,15 @@ class RecoveryStore:
 
     # shared guards -----------------------------------------------------
     @staticmethod
-    def _check_record(service: str, record: Dict[str, Any]) -> None:
-        if not check_wire_safe(record):
+    def _wire_copy(what: str, service: str,
+                   value: Dict[str, Any]) -> Dict[str, Any]:
+        """A copy of ``value``, wire-safety checked in the same walk."""
+        try:
+            return wire_copy(value)
+        except WireFormatError:
             raise WireFormatError(
-                f"journal record for {service!r} is not wire-safe"
-            )
-
-    @staticmethod
-    def _check_checkpoint(service: str, checkpoint: Dict[str, Any]) -> None:
-        if not check_wire_safe(checkpoint):
-            raise WireFormatError(
-                f"checkpoint for {service!r} is not wire-safe"
-            )
+                f"{what} for {service!r} is not wire-safe"
+            ) from None
 
     @staticmethod
     def _check_fence(service: str, epoch: int, fence: int) -> None:
@@ -157,8 +153,10 @@ class MemoryStore(RecoveryStore):
 
     "Durable" here means: survives :meth:`Node.crash` with
     ``lose_memory=True`` — the store object lives outside any node, the
-    way a disk outlives a process. Everything is deep-copied on the way
-    in and out, keeping the serialization boundary honest.
+    way a disk outlives a process. Everything is copied on the way in
+    and out by :func:`~repro.dist.message.wire_copy`, whose walk on the
+    way in is also the wire-safety check, keeping the serialization
+    boundary honest.
     """
 
     def __init__(self) -> None:
@@ -170,22 +168,24 @@ class MemoryStore(RecoveryStore):
 
     def append(self, service: str, record: Dict[str, Any],
                epoch: int = 0) -> int:
-        self._check_record(service, record)
+        record = self._wire_copy("journal record", service, record)
         with self._lock:
             self._check_fence(service, epoch,
                               self._fences.get(service, 0))
             seq = self._seqs.get(service, 0) + 1
             self._seqs[service] = seq
             self._journals.setdefault(service, []).append({
-                "seq": seq, "epoch": int(epoch),
-                "record": copy.deepcopy(record),
+                "seq": seq, "epoch": int(epoch), "record": record,
             })
             return seq
 
     def entries(self, service: str, after: int = 0) -> List[Dict[str, Any]]:
         with self._lock:
             return [
-                copy.deepcopy(entry)
+                # the record alone: wrapped in its entry it sits one
+                # level deeper than the depth it was checked at
+                {"seq": entry["seq"], "epoch": entry["epoch"],
+                 "record": wire_copy(entry["record"])}
                 for entry in self._journals.get(service, ())
                 if entry["seq"] > after
             ]
@@ -196,16 +196,17 @@ class MemoryStore(RecoveryStore):
 
     def save_checkpoint(self, service: str, checkpoint: Dict[str, Any],
                         epoch: int = 0) -> None:
-        self._check_checkpoint(service, checkpoint)
+        checkpoint = self._wire_copy("checkpoint", service,
+                                     checkpoint)
         with self._lock:
             self._check_fence(service, epoch,
                               self._fences.get(service, 0))
-            self._checkpoints[service] = copy.deepcopy(checkpoint)
+            self._checkpoints[service] = checkpoint
 
     def load_checkpoint(self, service: str) -> Optional[Dict[str, Any]]:
         with self._lock:
             checkpoint = self._checkpoints.get(service)
-            return copy.deepcopy(checkpoint) if checkpoint is not None \
+            return wire_copy(checkpoint) if checkpoint is not None \
                 else None
 
     def fence(self, service: str, epoch: int) -> int:
@@ -298,7 +299,7 @@ class FileStore(RecoveryStore):
 
     def append(self, service: str, record: Dict[str, Any],
                epoch: int = 0) -> int:
-        self._check_record(service, record)
+        record = self._wire_copy("journal record", service, record)
         with self._lock:
             self._check_fence(service, epoch, self._ensure_fence(service))
             seq = self._ensure_seq(service) + 1
@@ -324,7 +325,8 @@ class FileStore(RecoveryStore):
 
     def save_checkpoint(self, service: str, checkpoint: Dict[str, Any],
                         epoch: int = 0) -> None:
-        self._check_checkpoint(service, checkpoint)
+        checkpoint = self._wire_copy("checkpoint", service,
+                                     checkpoint)
         with self._lock:
             self._check_fence(service, epoch, self._ensure_fence(service))
             self._write_atomic(self._path(service, "checkpoint"),

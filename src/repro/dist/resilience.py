@@ -33,7 +33,6 @@ the backup's dedup cache recognizes a post-failover client retry.
 
 from __future__ import annotations
 
-import copy
 import threading
 import time
 from collections import OrderedDict
@@ -46,6 +45,7 @@ from repro.core.errors import CircuitOpen
 from repro.core.joinpoint import JoinPoint
 from repro.core.results import AspectResult
 from repro.concurrency.primitives import WaitQueue
+from .message import wire_copy
 
 __all__ = [
     "Deadline",
@@ -275,7 +275,7 @@ class IdempotencyCache:
         with self._lock:
             return {
                 key: {"kind": entry.kind,
-                      "payload": copy.deepcopy(entry.payload)}
+                      "payload": wire_copy(entry.payload)}
                 for key, entry in self._entries.items()
                 if entry.done and entry.payload is not None
             }
@@ -431,8 +431,9 @@ class ShedInbox(WaitQueue):
       make room (its caller times out and retries); the arriving
       request enqueues. With nothing evictable the arrival is rejected.
 
-    ``put`` never blocks: the dispatcher thread calling it must keep
-    delivering to every other endpoint regardless of this node's load.
+    ``put`` never blocks: the sender or network dispatcher calling it
+    must keep delivering to every other endpoint regardless of this
+    node's load.
     """
 
     POLICIES = ("reject", "drop_oldest")

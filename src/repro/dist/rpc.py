@@ -1,7 +1,11 @@
 """RPC client: remote proxies over the simulated network.
 
 A :class:`Client` owns an endpoint on the network and matches replies to
-outstanding requests by message id. :class:`RemoteProxy` is the stub —
+outstanding requests by message id. The endpoint is a reply sink, not a
+queue: the thread that delivers a reply completes the caller's future,
+so a round trip over a zero-latency network crosses two threads (caller
+→ node worker → caller) and the client runs none of its own.
+:class:`RemoteProxy` is the stub —
 attribute access yields remote methods, so calling a remote ticket
 server looks exactly like calling the local proxy (the paper's servant/
 client symmetry, Section 2). Names resolve through the naming service
@@ -28,7 +32,7 @@ import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.aspects.retry import RetryPolicy
-from repro.concurrency.primitives import Future, FutureError, WaitQueue
+from repro.concurrency.primitives import Future, WaitQueue
 from repro.core.errors import (
     CircuitOpen,
     ClientClosed,
@@ -63,6 +67,35 @@ class RemoteError(NetworkError):
 
 class RequestTimeout(NetworkError, TimeoutError):
     """No reply within the deadline (lost message or dead node)."""
+
+
+class _ReplySink(WaitQueue):
+    """A client's endpoint: completes a reply's pending future in ``put``.
+
+    The network calls ``put`` on whichever thread delivers the reply —
+    for a reply due now, the node worker that sent it — so the reply
+    reaches the waiting caller in one handoff, with no thread of the
+    client's own in between. ``put`` never blocks. A reply whose call
+    is no longer pending (it timed out) is dropped here; once the client
+    closes, ``put`` raises ``WaitQueue.Closed`` and the network counts
+    the reply as dropped. Nothing is ever queued, so ``get`` would wait
+    until the sink closes.
+    """
+
+    def __init__(self, pending: Dict[int, "Future[Message]"]) -> None:
+        super().__init__()
+        self._pending = pending
+
+    def put(self, item: Message, timeout: Optional[float] = None) -> None:
+        if self._closed:
+            raise WaitQueue.Closed("queue is closed")
+        if item.reply_to is None:
+            return
+        # dict.pop is atomic: the caller's timeout and Client.close pop
+        # the same entry, and only the one that gets it completes it
+        future = self._pending.pop(item.reply_to, None)
+        if future is not None:
+            future.set_result(item)
 
 
 #: counters every client keeps (prefix ``repro_rpc_``)
@@ -105,17 +138,14 @@ class Client:
             "repro_rpc_remaining_budget_seconds",
             help="remaining deadline budget when each attempt is sent",
         ).labels()
-        self.inbox = network.register(client_id)
         self._pending: Dict[int, "Future[Message]"] = {}
+        self.inbox = network.register(client_id,
+                                      inbox=_ReplySink(self._pending))
         self._lock = threading.Lock()
         self._seq = itertools.count(1)
         self._rng = random.Random(_CLIENT_JITTER_SEED)
         self._sleep: Callable[[float], None] = time.sleep
         self._running = True
-        self._thread = threading.Thread(
-            target=self._reply_loop, name=f"{client_id}-replies", daemon=True
-        )
-        self._thread.start()
 
     # -- legacy counter facade (exact under the striped registry) ------
     @property
@@ -132,21 +162,6 @@ class Client:
     def retries(self) -> int:
         """Attempts that were retried after a transient failure."""
         return int(self._counters.value("retries"))
-
-    def _reply_loop(self) -> None:
-        while self._running:
-            try:
-                message = self.inbox.get(timeout=0.2)
-            except TimeoutError:
-                continue
-            except WaitQueue.Closed:
-                return
-            if message.reply_to is None:
-                continue
-            with self._lock:
-                future = self._pending.pop(message.reply_to, None)
-            if future is not None and not future.done:
-                future.set_result(message)
 
     # ------------------------------------------------------------------
     def call_node(self, node_id: str, service: str, method: str,
@@ -183,14 +198,17 @@ class Client:
                     )
                 self._pending[message.msg_id] = future
             self._inc("calls")
-            self.network.send(message)
+            try:
+                self.network.send(message)
+            except BaseException:
+                self._pending.pop(message.msg_id, None)
+                raise
             effective = timeout if timeout is not None \
                 else self.default_timeout
             try:
                 response = future.result(effective)
             except TimeoutError:
-                with self._lock:
-                    self._pending.pop(message.msg_id, None)
+                self._pending.pop(message.msg_id, None)
                 self._inc("timeouts")
                 raise RequestTimeout(
                     f"no reply from {node_id}/{service}.{method} "
@@ -352,8 +370,7 @@ class Client:
         try:
             self.network.send(message)
         except BaseException as exc:
-            with self._lock:
-                self._pending.pop(message.msg_id, None)
+            self._pending.pop(message.msg_id, None)
             if token is not None:
                 DestinationBreakers.record(token, exc)
             raise
@@ -363,8 +380,7 @@ class Client:
         try:
             response = future.result(effective)
         except TimeoutError:
-            with self._lock:
-                self._pending.pop(message.msg_id, None)
+            self._pending.pop(message.msg_id, None)
             self._counters.bump("timeouts")
             if deadline is not None and deadline.expired:
                 exc: BaseException = DeadlineExceeded(
@@ -458,29 +474,28 @@ class Client:
     def close(self) -> None:
         """Shut down; in-flight callers fail fast with ClientClosed.
 
-        Idempotent. Unregistering closes the inbox, so the reply loop
-        exits on ``WaitQueue.Closed`` immediately instead of polling
-        out its 0.2s timeout; pending futures are failed so callers
-        blocked in ``call_node`` wake promptly rather than burning
-        their full timeout.
+        Idempotent. Unregistering closes the reply sink, so a reply
+        still on its way is dropped by the network; pending futures are
+        failed so callers blocked in ``call_node`` wake promptly rather
+        than burning their full timeout.
         """
         with self._lock:
             if not self._running:
                 return
             self._running = False
-            pending = list(self._pending.values())
-            self._pending.clear()
+        # No call registers once _running is False; each entry is
+        # popped by exactly one of this loop, a late reply, or the
+        # caller's own timeout.
         self.network.unregister(self.client_id)
-        for future in pending:
-            if not future.done:
-                try:
-                    future.set_exception(
-                        ClientClosed(f"client {self.client_id!r} closed "
-                                     f"with the call in flight")
-                    )
-                except FutureError:
-                    pass  # lost the race to a late reply: caller has it
-        self._thread.join(timeout=1.0)
+        while self._pending:
+            try:
+                _msg_id, future = self._pending.popitem()
+            except KeyError:
+                break  # a late reply or a timeout took the last one
+            future.set_exception(
+                ClientClosed(f"client {self.client_id!r} closed "
+                             f"with the call in flight")
+            )
 
 
 class RemoteProxy:

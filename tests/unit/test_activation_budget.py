@@ -1,17 +1,19 @@
-"""Call-count budgets of one moderated activation.
+"""Call-count budgets of one moderated activation and one RPC round trip.
 
 Wall-clock time on a shared machine drifts by tens of percent, so the
 cost of the moderation bracket is gated on a figure with no noise: the
 number of Python function calls one activation makes, counted with
 ``sys.setprofile`` on the calling thread while the cyclic collector is
 off (a collection runs finalizers mid-activation). Every call counts —
-proxy, moderator, aspects, the component body.
+proxy, moderator, aspects, the component body. The RPC round trip is
+counted on every thread it crosses (``threading.setprofile`` too).
 
 A budget changes only together with a line in CHANGES.md saying why.
 """
 
 import gc
 import sys
+import threading
 
 from repro.apps import build_ticketing_cluster, make_session_manager
 from repro.aspects.audit import AuditLog
@@ -24,6 +26,7 @@ from repro.core import (
     NullAspect,
 )
 from repro.core.results import BLOCK, RESUME
+from repro.dist import Client, Network, Node
 from repro.sim import Engine
 
 #: one-aspect RESUME through a ComponentProxy attribute call
@@ -34,6 +37,9 @@ TICKETING_BUDGET = 50
 #: one park -> notify -> complete cycle of an engine-mode continuation
 #: runtime (one gate aspect); engine mode runs on the calling thread
 PARK_CYCLE_BUDGET = 120
+#: one unarmed ``Client.call_node`` round trip to a plain servant over a
+#: zero-latency network, counted on every thread it runs on
+RPC_ROUNDTRIP_BUDGET = 90
 
 WARM = 20
 MEASURED = 100
@@ -151,3 +157,52 @@ def test_park_cycle_within_budget():
     )
     stats = moderator.stats
     assert stats.waits == stats.wakeups == WARM + MEASURED
+
+
+def test_rpc_roundtrip_within_budget():
+    calls = {}  # thread ident -> Python calls
+
+    def profile(frame, event, arg):
+        if event == "call":
+            ident = threading.get_ident()
+            calls[ident] = calls.get(ident, 0) + 1
+
+    gc.collect()
+    gc.disable()
+    # set before the network, node and client start any thread, so
+    # every thread a round trip crosses is counted
+    threading.setprofile(profile)
+    try:
+        network = Network()
+        node = Node("server", network).start()
+        node.export("svc", Component())
+        client = Client("caller", network)
+        try:
+            for _ in range(WARM):
+                client.call_node("server", "svc", "work", 1)
+            before = dict(calls)
+            sys.setprofile(profile)
+            try:
+                for _ in range(MEASURED):
+                    client.call_node("server", "svc", "work", 1)
+            finally:
+                sys.setprofile(None)
+            after = dict(calls)
+        finally:
+            client.close()
+            node.stop()
+            network.close()
+    finally:
+        threading.setprofile(None)
+        gc.enable()
+    spent = {ident: count - before.get(ident, 0)
+             for ident, count in after.items()
+             if count != before.get(ident, 0)}
+    per_call = sum(spent.values()) / MEASURED
+    assert per_call <= RPC_ROUNDTRIP_BUDGET, (
+        f"an unarmed call_node round trip made {per_call} Python calls "
+        f"(budget {RPC_ROUNDTRIP_BUDGET})"
+    )
+    # two threads: the caller and the node's worker — no dispatcher,
+    # no client reply thread
+    assert len(spent) == 2, spent

@@ -1,5 +1,7 @@
 """Unit tests for the simulated network."""
 
+import sys
+import threading
 import time
 
 import pytest
@@ -192,6 +194,122 @@ class TestDispatcherSurvival:
         assert stats["dispatch_errors"] == 0
 
 
+class TestInlineDelivery:
+    def test_due_message_is_in_the_inbox_when_send_returns(self, network):
+        inbox = network.register("b")
+        network.register("a")
+        network.send(msg("a", "b", tag=3))
+        assert inbox.get(timeout=0).payload["tag"] == 3
+
+    def test_due_message_is_put_on_the_senders_thread(self, network):
+        from repro.concurrency.primitives import WaitQueue
+
+        class Recording(WaitQueue):
+            def put(self, item, timeout=None):
+                self.putter = threading.current_thread()
+                super().put(item, timeout)
+
+        inbox = network.register("b", inbox=Recording())
+        network.register("a")
+        network.send(msg("a", "b"))
+        assert inbox.putter is threading.current_thread()
+
+    def test_message_behind_a_delayed_one_waits_its_turn(self):
+        from repro.faults import FaultInjector, FaultPlan, FaultSpec
+        net = Network()
+        FaultInjector(FaultPlan([FaultSpec(
+            phase="delivery", method_id="b", occurrence=1,
+            action="delay", arg=0.05,
+        )])).install(net)
+        try:
+            inbox = net.register("b")
+            net.register("a")
+            net.send(msg("a", "b", tag=0))  # delayed: on the heap
+            net.send(msg("a", "b", tag=1))  # due now: queued, not inline
+            # the due one still goes first: (deliver_at, seq) order
+            assert [m.payload["tag"] for m in drain(inbox, 2)] == [1, 0]
+        finally:
+            net.close()
+
+    def test_message_the_dispatcher_is_putting_stays_ahead(self):
+        from repro.concurrency.primitives import WaitQueue
+        from repro.faults import FaultInjector, FaultPlan, FaultSpec
+
+        putting = threading.Event()
+
+        class SlowDispatcherPut(WaitQueue):
+            def put(self, item, timeout=None):
+                if threading.current_thread().name == "network-dispatch":
+                    putting.set()
+                    time.sleep(0.05)
+                super().put(item, timeout)
+
+        net = Network()
+        FaultInjector(FaultPlan([FaultSpec(
+            phase="delivery", method_id="b", occurrence=1,
+            action="delay", arg=0.01,
+        )])).install(net)
+        try:
+            inbox = net.register("b", inbox=SlowDispatcherPut())
+            net.register("a")
+            net.send(msg("a", "b", tag=0))  # delayed: on the heap
+            assert putting.wait(2.0)  # popped, not yet in the inbox
+            net.send(msg("a", "b", tag=1))  # due now, heap empty
+            assert [m.payload["tag"] for m in drain(inbox, 2)] == [0, 1]
+        finally:
+            net.close()
+
+
+def dispatchers(exclude=()):
+    return [thread for thread in threading.enumerate()
+            if thread.name == "network-dispatch" and thread not in exclude]
+
+
+class TestDispatcherStart:
+    def test_zero_latency_round_trip_starts_no_dispatcher(self):
+        from repro.dist import Client, Node
+
+        before = dispatchers()
+        net = Network()
+        node = Node("server", net).start()
+        node.export("svc", Echo())
+        client = Client("caller", net)
+        try:
+            assert client.call_node("server", "svc", "echo", 5) == 5
+            assert dispatchers(exclude=before) == []
+        finally:
+            client.close()
+            node.stop()
+            net.close()
+
+    def test_first_delayed_message_starts_the_dispatcher(self):
+        before = dispatchers()
+        net = Network(latency=0.01)
+        try:
+            inbox = net.register("b")
+            net.register("a")
+            assert dispatchers(exclude=before) == []
+            net.send(msg("a", "b"))
+            started = dispatchers(exclude=before)
+            assert len(started) == 1
+            assert inbox.get(2.0) is not None
+        finally:
+            net.close()
+        started[0].join(2.0)
+        assert not started[0].is_alive()
+
+    def test_close_without_a_dispatcher(self):
+        net = Network()
+        inbox = net.register("b")
+        net.close()
+        assert inbox.closed
+
+
+class Echo:
+    def echo(self, value):
+        return value
+
+
 class TestDeliveryInjection:
     def _wired(self, plan):
         from repro.faults import FaultInjector
@@ -277,3 +395,53 @@ class TestDeliveryInjection:
 
         with pytest.raises(TypeError):
             FaultInjector().install(NoHook())
+
+
+class TestConcurrentSenders:
+    def test_due_messages_keep_per_sender_order_under_contention(self):
+        """Inline and queued deliveries from racing senders: a message
+        due now never overtakes an earlier one from the same sender."""
+        from repro.faults import FaultInjector, FaultPlan, FaultSpec
+
+        senders, per_sender = 4, 150
+        # every 10th delivery to each sink waits 2ms on the heap, so
+        # inline deliveries race the dispatcher's throughout
+        net = Network()
+        FaultInjector(FaultPlan([
+            FaultSpec(phase="delivery", method_id=f"sink{s}",
+                      occurrence=k, action="delay", arg=0.002)
+            for s in range(senders)
+            for k in range(10, per_sender + 1, 10)
+        ])).install(net)
+        delayed = set(range(9, per_sender, 10))  # 0-based sequence
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            inboxes = [net.register(f"sink{s}") for s in range(senders)]
+            for s in range(senders):
+                net.register(f"src{s}")
+
+            def send_all(s):
+                for seq in range(per_sender):
+                    net.send(Message(source=f"src{s}", dest=f"sink{s}",
+                                     kind="event", payload={"seq": seq}))
+
+            threads = [threading.Thread(target=send_all, args=(s,))
+                       for s in range(senders)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            assert not any(thread.is_alive() for thread in threads)
+            for inbox in inboxes:
+                arrived = [m.payload["seq"]
+                           for m in drain(inbox, per_sender, timeout=5.0)]
+                assert sorted(arrived) == list(range(per_sender))
+                due_now = [seq for seq in arrived if seq not in delayed]
+                assert due_now == sorted(due_now)
+        finally:
+            sys.setswitchinterval(switch)
+            net.close()
+        stats = net.stats()
+        assert stats["delivered"] == stats["sent"] == senders * per_sender
+        assert stats["dropped"] == stats["dispatch_errors"] == 0

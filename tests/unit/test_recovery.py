@@ -7,6 +7,7 @@ surfacing regression.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -22,7 +23,7 @@ from repro.dist import (
     RecoveryPlan,
     recover_service,
 )
-from repro.dist.message import WireFormatError
+from repro.dist.message import Message, WireFormatError
 from repro.dist.sharding import HANDOFF_KEY
 
 
@@ -540,3 +541,87 @@ class TestStopStragglers:
         node = Node("n1", network).start()
         assert node.stop() == []
         network.close()
+
+    def test_stop_wakes_idle_workers_across_recover_cycles(self):
+        network = Network()
+        node = Node("n1", network, workers=2)
+        node.export("kv", CountingKV())
+        client = Client("client", network, default_timeout=5.0)
+        # count how each inbox.get of the serve loops ends: a wake-up
+        # on stop, or a poll that timed out; and how many are waiting
+        lock = threading.Lock()
+        ends = {"wake": 0, "poll timeout": 0}
+        waiting = []
+        real_get = node.inbox.get
+
+        def counting_get(timeout=None):
+            with lock:
+                waiting.append(None)
+            try:
+                item = real_get(timeout)
+            except TimeoutError:
+                with lock:
+                    ends["poll timeout"] += 1
+                raise
+            finally:
+                with lock:
+                    waiting.pop()
+            if not isinstance(item, Message):
+                with lock:
+                    ends["wake"] += 1
+            return item
+
+        def stop_idle():
+            # both workers blocked in inbox.get: the node is idle
+            deadline = time.monotonic() + 5.0
+            while len(waiting) < 2:
+                assert time.monotonic() < deadline, "workers never idled"
+                time.sleep(0.001)
+            return node.stop()
+
+        node.inbox.get = counting_get
+        node.start()
+        cycles = 5
+        try:
+            for cycle in range(cycles):
+                assert client.call_node("n1", "kv", "put", "k", cycle) \
+                    == cycle + 1
+                assert stop_idle() == []
+                assert not [thread for thread in threading.enumerate()
+                            if thread.name.startswith("n1-worker-")]
+                assert node.load == 0  # no wake-up left queued
+                node.recover()  # restarts on the same inbox
+            assert client.call_node("n1", "kv", "get", "k") == cycles - 1
+            assert stop_idle() == []
+        finally:
+            client.close()
+            network.close()
+        # every worker of every stop left on its wake-up
+        assert ends == {"wake": 2 * (cycles + 1), "poll timeout": 0}
+
+    def test_fault_plan_crash_cycles_keep_one_worker_listed(self):
+        from repro.dist.rpc import RequestTimeout
+        from repro.faults import FaultInjector, FaultPlan, FaultSpec
+
+        network = Network()
+        node = Node("n1", network).start()
+        client = Client("client", network, default_timeout=0.3)
+        try:
+            for cycle in range(3):
+                node.export("kv", CountingKV())
+                FaultInjector(FaultPlan([FaultSpec(
+                    phase="crash", method_id="n1", concern="serve",
+                )])).install(node)
+                with pytest.raises(RequestTimeout):  # crashed: no reply
+                    client.call_node("n1", "kv", "put", "k", cycle,
+                                     idempotency_key=f"put-{cycle}")
+                node.fault_injector = None
+                node.recover()
+                # the crashed worker is not carried into the restart
+                assert len(node._threads) == 1
+                assert node._threads[0].is_alive()
+                assert node.load == 0
+            assert node.stop() == []
+        finally:
+            client.close()
+            network.close()
